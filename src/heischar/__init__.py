@@ -29,6 +29,7 @@ from .errors import (
     TooLarge,
     UnknownFamily,
     ZeroInverse,
+    space_limit,
 )
 from .gf import FieldSpec, field_make
 from .linalg import (
@@ -59,7 +60,6 @@ from .combinat import (
     path_from_text,
     path_to_text,
     shift,
-    space_limit,
 )
 from .counting import (
     IntPolynomial,

@@ -216,14 +216,31 @@ DEFAULT_SWEEPS = {
 }
 
 
+# domain of each check: the least n (d for tech-lem1) its statement covers
+MIN_INDEX = {"bell-thm": 1, "heis-thm": 1, "del-thm": 1, "deg-cor": 2,
+             "fe-thm": 1, "c-irr-thm": 1, "c-heis-thm": 2, "tech-lem1": 1,
+             "alt-thm": 2}
+
+
 def run_check(name: str, ns=None, qs=None, limit: int | None = None) -> list[CheckCase]:
     """All cases of one named check over the (n, q) sweep (defaults per
-    check); cases are ordered by (n, q) in input order."""
+    check); cases are ordered by (n, q) in input order.  The whole sweep
+    is validated first: an index below the check's domain raises
+    ValueError, a field order that is not a prime power up to 256 the
+    field's error, before any census runs."""
     if name not in CHECKS:
         raise UnknownFamily(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     default_ns, default_qs = DEFAULT_SWEEPS[name]
+    ns, qs = ns or default_ns, qs or default_qs
+    for n in ns:
+        if n < MIN_INDEX[name]:
+            index = "d" if name == "tech-lem1" else "n"
+            raise ValueError(f"{name} is defined for {index} >= {MIN_INDEX[name]}, "
+                             f"got {index} = {n}")
+    for q in qs:
+        field_make(q)
     cases = []
-    for n in ns or default_ns:
-        for q in qs or default_qs:
+    for n in ns:
+        for q in qs:
             cases.extend(CHECKS[name](n, q, limit))
     return cases

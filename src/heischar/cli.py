@@ -30,6 +30,7 @@ from dataclasses import asdict
 
 from . import bijections, checks, combinat, counting
 from .errors import SpaceTooLarge
+from .gf import field_make
 from .linalg import functional_from_text, functional_to_text
 
 # CLI family -> (object kind, enumeration family, polynomial family)
@@ -88,9 +89,12 @@ def _emit(args, lines, payload, rows, fields) -> None:
 
 def _cmd_count(args) -> int:
     _, _, pfam = FAMILIES[args.family]
+    qs = parse_int_list(args.q)
+    for q in qs:
+        field_make(q)
     results = [{"family": args.family, "n": n, "q": q,
                 "value": counting.poly(pfam, n)(q - 1)}
-               for n in parse_int_list(args.n) for q in parse_int_list(args.q)]
+               for n in parse_int_list(args.n) for q in qs]
     if len(results) == 1:
         lines = [str(results[0]["value"])]
         payload = results[0]

@@ -22,17 +22,14 @@ the expected stream size against a guard before starting.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from itertools import product
 
 from . import counting
-from .errors import NotAPartition, SpaceTooLarge, UnknownFamily
+from .errors import NotAPartition, SpaceTooLarge, UnknownFamily, space_limit
 from .gf import FieldSpec, field_make
 from .linalg import Functional
-
-DEFAULT_SPACE_LIMIT = 1 << 24
 
 # canonical step order; labels per step = its height
 STEP_ORDER = ((1, 0), (1, 1), (0, 1), (0, 2), (2, 1), (1, 2))
@@ -49,17 +46,6 @@ PATH_FAMILIES = {
 }
 
 PARTITION_FILTERS = ("all", "noncrossing", "feasible", "heis_support")
-
-
-def space_limit(limit: int | None = None) -> int:
-    """The active size guard: explicit argument, else HEISCHAR_SPACE_LIMIT,
-    else the default of 2^24 items."""
-    if limit is not None:
-        return limit
-    env = os.environ.get("HEISCHAR_SPACE_LIMIT")
-    if env:
-        return int(env)
-    return DEFAULT_SPACE_LIMIT
 
 
 def _check_labels(q: int, labels) -> None:

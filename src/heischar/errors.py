@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size guard that
+raises SpaceTooLarge."""
+
+import os
+
+DEFAULT_SPACE_LIMIT = 1 << 24
 
 
 class NotPrimePower(ValueError):
@@ -60,3 +65,14 @@ class SpaceTooLarge(RuntimeError):
         detail = f" (needs {needed})" if needed is not None else ""
         super().__init__(f"{what} exceeds the size guard of {bound}{detail}; "
                          "raise the limit argument or set HEISCHAR_SPACE_LIMIT")
+
+
+def space_limit(limit: int | None = None) -> int:
+    """The active size guard: explicit argument, else HEISCHAR_SPACE_LIMIT,
+    else the default of 2^24 items."""
+    if limit is not None:
+        return limit
+    env = os.environ.get("HEISCHAR_SPACE_LIMIT")
+    if env:
+        return int(env)
+    return DEFAULT_SPACE_LIMIT

@@ -10,15 +10,17 @@ the alternating subgroup ker(sigma).  The point is independence: these
 routines know nothing about counting polynomials or lattice paths, so
 agreement with them is evidence, not circularity.
 
-Orbits are computed as breadth-first closures under the generators
-1 + t e_{i,i+1} of U_n (which generate the group), with functionals
-held as dense tuples of field codes.  For the superdiagonal generators
-the action on a functional touches a single row or column of its
-matrix, so moves are applied as sparse (destination, source) index
-pairs; arbitrary generators (needed for the alternating subgroup) go
-through precomputed dense action matrices.  Censuses sweep seeds in
-lexicographic order, so every reported representative is the least
-element of its orbit.
+Orbits are computed as breadth-first closures under group generators,
+with functionals held as dense tuples of field codes.  Every generator
+is compiled once into a sparse move, a tuple of (destination, source,
+coefficient) triples, and one kernel applies them all: for the
+superdiagonal generators 1 + t e_{i,i+1} of U_n the triples come
+straight from the row or column the action touches, and for arbitrary
+generators (needed for the alternating subgroup) from the off-diagonal
+entries of their action matrices.  The l/s chains never multiply
+matrices: lam(XY) is a bilinear form in X and Y, kept as the sparse list
+of its nonzero entries.  Censuses sweep seeds in lexicographic order, so
+every reported representative is the least element of its orbit.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .combinat import space_limit
-from .errors import SpaceTooLarge, UnknownFamily
+from .errors import SpaceTooLarge, UnknownFamily, space_limit
 from .gf import FieldSpec, field_make
 from .linalg import (Functional, StrictUpperMatrix, UnitriangularElement,
-                     group_inv, group_mul, null_space, row_reduce,
-                     triangle_positions)
+                     _position_index, gamma, group_inv, group_mul, null_space,
+                     row_reduce, triangle_positions)
 
 HEISENBERG_METHODS = ("quotient_classes", "xi_census")
 C_INVARIANT_KINDS = ("supercharacters", "irreducible_supercharacters",
@@ -180,78 +181,53 @@ class TruncatedElement:
 
 
 # ------------------------------------------------------------ generator moves
-def _index_of(n: int) -> dict[tuple[int, int], int]:
-    return {ij: a for a, ij in enumerate(triangle_positions(n))}
-
-def _left_pairs(n: int, c: int) -> list[tuple[int, int]]:
-    """(destination, source) index pairs of the left action of
-    1 + t e_{c,c+1}: row c+1 of the matrix gains -t times row c."""
-    idx = _index_of(n)
-    return [(idx[c + 1, b], idx[c, b]) for b in range(c + 2, n + 1)]
-
-def _right_pairs(n: int, c: int) -> list[tuple[int, int]]:
-    """(destination, source) index pairs of the right action of
-    1 + t e_{c,c+1}: column c gains -t times column c+1."""
-    idx = _index_of(n)
-    return [(idx[a, c], idx[a, c + 1]) for a in range(1, c)]
-
-
 def _sparse_moves(n: int, field: FieldSpec, mode: str):
     """The generator moves of one action, one move per (c, t).
 
-    A move is a tuple of (t, pairs) parts; applying it subtracts t
-    times each source entry from its destination, all parts reading
-    from the original codes.  The coadjoint move by 1 + t e_{c,c+1}
-    combines the left part (with t) and the right part (with -t); the
-    two parts read and write disjoint positions, so applying them
-    against the original codes matches the simultaneous action."""
+    The left action of 1 + t e_{c,c+1} adds -t times row c to row c+1;
+    the right action adds -t times column c+1 to column c; the coadjoint
+    move combines the left part (-t) with the right part (+t).  The two
+    parts read and write disjoint positions, so applying them against
+    the original codes matches the simultaneous action."""
+    idx = _position_index(n)
     moves = []
     for c in range(1, n):
-        left, right = _left_pairs(n, c), _right_pairs(n, c)
+        left = [(idx[c + 1, b], idx[c, b]) for b in range(c + 2, n + 1)]
+        right = [(idx[a, c], idx[a, c + 1]) for a in range(1, c)]
         for t in range(1, field.q):
+            neg = field.neg_code(t)
+            lmove = tuple((d, s, neg) for d, s in left)
             if mode in ("left", "two_sided"):
-                moves.append(((t, left),))
+                moves.append(lmove)
             if mode in ("right", "two_sided"):
-                moves.append(((t, right),))
+                moves.append(tuple((d, s, neg) for d, s in right))
             if mode == "coadjoint":
-                moves.append(((t, left), (field.neg_code(t), right)))
+                moves.append(lmove + tuple((d, s, t) for d, s in right))
     return moves
 
 
-def _apply_sparse(codes: tuple[int, ...], parts, field: FieldSpec):
-    out = list(codes)
-    for t, pairs in parts:
-        for dst, src in pairs:
-            s = codes[src]
-            if s:
-                out[dst] = field.sub_code(out[dst], field.mul_code(t, s))
-    return tuple(out)
-
-
-def _action_matrix(g: UnitriangularElement, mode: str) -> tuple[tuple[int, ...], ...]:
-    """Dense matrix T with (g acting on lam)[a] = sum_b T[a][b] lam[b],
-    for an arbitrary group element; rows follow triangle positions."""
+def _element_move(g: UnitriangularElement, mode: str):
+    """The move of an arbitrary group element under the left or right
+    action: (g acting on lam)[d] = sum_s T[d][s] lam[s], where row d of T
+    holds the codes of g^{-1} e_d (left) or e_d g^{-1} (right).  T is
+    unitriangular, so only its off-diagonal entries become triples."""
     n, field = g.n, g.field
     ginv = group_inv(g)
-    rows = []
-    for (i, j) in triangle_positions(n):
-        basis = StrictUpperMatrix.basis_element(n, field, i, j)
-        if mode == "left":
-            image = ginv.mul_matrix_left(basis)
-        else:
-            image = ginv.mul_matrix_right(basis)
-        rows.append(image.codes)
-    return tuple(rows)
+    times = ginv.mul_matrix_left if mode == "left" else ginv.mul_matrix_right
+    rows = [times(StrictUpperMatrix.basis_element(n, field, i, j)).codes
+            for i, j in triangle_positions(n)]
+    return tuple((d, s, c) for d, row in enumerate(rows)
+                 for s, c in enumerate(row) if c and s != d)
 
 
-def _apply_matrix(matrix, codes: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
-    out = []
-    for row in matrix:
-        acc = 0
-        for coeff, v in zip(row, codes):
-            if coeff and v:
-                acc = field.add_code(acc, field.mul_code(coeff, v))
-        out.append(acc)
+def _apply(codes: tuple[int, ...], move, add, mul) -> tuple[int, ...]:
+    """codes[dst] += coeff * codes[src] for every triple of the move, all
+    reading the original codes; add and mul are the field's tables."""
+    out = list(codes)
+    for dst, src, c in move:
+        s = codes[src]
+        if s:
+            out[dst] = add[out[dst]][mul[c][s]]
     return tuple(out)
 
 
@@ -272,11 +248,12 @@ def _bfs(start: tuple[int, ...], step, bound: int, what: str) -> set[tuple[int, 
     return seen
 
 
-def _sparse_stepper(moves, field: FieldSpec):
-    def step(codes):
-        for parts in moves:
-            yield _apply_sparse(codes, parts, field)
-    return step
+def _stepper(moves, field: FieldSpec):
+    """step(codes): the images of codes under every move that changes
+    anything."""
+    add, mul = field.add_table, field.mul_table
+    moves = [move for move in moves if move]
+    return lambda codes: [_apply(codes, move, add, mul) for move in moves]
 
 
 def orbit(lam: Functional, mode: str, limit: int | None = None) -> set[Functional]:
@@ -288,47 +265,49 @@ def orbit(lam: Functional, mode: str, limit: int | None = None) -> set[Functiona
     field = lam.field
     moves = _sparse_moves(lam.n, field, mode)
     bound = space_limit(limit)
-    seen = _bfs(lam.codes, _sparse_stepper(moves, field), bound,
+    seen = _bfs(lam.codes, _stepper(moves, field), bound,
                 f"{mode} orbit in u_{lam.n}(F_{field.q})*")
     return {Functional.from_codes(lam.n, field, codes) for codes in seen}
 
 
-def _orbit_codes(codes, n, field, mode, bound) -> set[tuple[int, ...]]:
-    moves = _sparse_moves(n, field, mode)
-    return _bfs(codes, _sparse_stepper(moves, field), bound,
-                f"{mode} orbit in u_{n}(F_{field.q})*")
-
-
 # ------------------------------------------------------------------ ls chains
-def _matmul_codes(a: tuple[int, ...], b: tuple[int, ...], n: int,
-                  field: FieldSpec) -> tuple[int, ...]:
-    x = StrictUpperMatrix(n, field, a)
-    y = StrictUpperMatrix(n, field, b)
-    return x.matmul(y).codes
+def _pairing_restrict(gram, field: FieldSpec, s_basis, t_basis):
+    """Basis of {X in span(s_basis) : lam(X Y) = 0 for all Y in span(t_basis)}.
 
-
-def _pairing_restrict(lam: Functional, s_basis, t_basis):
-    """Basis of {X in span(s_basis) : lam(X Y) = 0 for all Y in span(t_basis)}."""
-    n, field = lam.n, lam.field
+    lam(XY) = sum_{i<k<j} lam_ij X_ik Y_kj is a bilinear form in X and
+    Y; gram lists its nonzero entries as (pos(i,k), pos(k,j), lam_ij).
+    Folding one Y into it gives the vector w_Y with lam(XY) = w_Y . X,
+    so each constraint row is a list of dot products, and no matrix
+    product is formed."""
     if not s_basis:
         return ()
     if not t_basis:
         return s_basis
+    add, mul = field.add_table, field.mul_table
+    npos = len(s_basis[0])
     constraints = []
     for y in t_basis:
+        w = [0] * npos
+        for a, b, c in gram:
+            if y[b]:
+                w[a] = add[w[a]][mul[c][y[b]]]
+        support = [(a, mul[v]) for a, v in enumerate(w) if v]
+        if not support:
+            continue
         row = []
         for x in s_basis:
-            prod = _matmul_codes(x, y, n, field)
-            row.append(lam.evaluate(StrictUpperMatrix(n, field, prod)))
+            acc = 0
+            for a, mv in support:
+                acc = add[acc][mv[x[a]]]
+            row.append(acc)
         constraints.append(row)
-    coeff_basis = null_space(constraints, field, len(s_basis))
     vectors = []
-    for coeffs in coeff_basis:
-        vec = [0] * len(s_basis[0])
+    for coeffs in null_space(constraints, field, len(s_basis)):
+        vec = [0] * npos
         for c, x in zip(coeffs, s_basis):
             if c:
-                for a, v in enumerate(x):
-                    vec[a] = field.add_code(vec[a], field.mul_code(c, v))
+                mc = mul[c]
+                vec = [add[v][mc[u]] for v, u in zip(vec, x)]
         vectors.append(vec)
     return tuple(tuple(r) for r in row_reduce(vectors, field))
 
@@ -337,14 +316,18 @@ def ls_chain(lam: Functional) -> ChainResult:
     """Iterate the l/s recursion until both chains stabilize."""
     n, field = lam.n, lam.field
     npos = n * (n - 1) // 2
+    idx = _position_index(n)
+    gram = [(idx[i, k], idx[k, j], c)
+            for (i, j), c in zip(triangle_positions(n), lam.codes) if c
+            for k in range(i + 1, j)]
     full = tuple(tuple(1 if a == b else 0 for b in range(npos))
                  for a in range(npos))
     l_chain = [()]
     s_chain = [full]
     while True:
         s_cur = s_chain[-1]
-        l_next = _pairing_restrict(lam, s_cur, s_cur)
-        s_next = _pairing_restrict(lam, s_cur, l_next)
+        l_next = _pairing_restrict(gram, field, s_cur, s_cur)
+        s_next = _pairing_restrict(gram, field, s_cur, l_next)
         if l_next == l_chain[-1] and s_next == s_chain[-1]:
             break
         l_chain.append(l_next)
@@ -367,10 +350,6 @@ def xi_stats(lam: Functional) -> XiStats:
 def _kills_n3(codes, n: int) -> bool:
     return all(v == 0 for v, (i, j) in zip(codes, triangle_positions(n))
                if j - i >= 3)
-
-
-def _gamma_codes(n: int) -> tuple[int, ...]:
-    return tuple(1 if j == i + 1 else 0 for i, j in triangle_positions(n))
 
 
 def _translate(codes, t: int, direction, field: FieldSpec) -> tuple[int, ...]:
@@ -397,13 +376,10 @@ def _full_census(n: int, q: int, bound: int) -> tuple[_FunctionalOrbit, ...]:
     total = q ** npos
     if total > bound:
         raise SpaceTooLarge(bound, total, f"functional space u_{n}(F_{q})*")
-    left = _sparse_stepper(_sparse_moves(n, field, "left"), field)
-    right = _sparse_stepper(_sparse_moves(n, field, "right"), field)
-    gamma = _gamma_codes(n)
-
-    def both(codes):
-        yield from left(codes)
-        yield from right(codes)
+    left = _stepper(_sparse_moves(n, field, "left"), field)
+    right = _stepper(_sparse_moves(n, field, "right"), field)
+    both = _stepper(_sparse_moves(n, field, "two_sided"), field)
+    gamma_codes = gamma(n, field).codes
 
     seen = set()
     out = []
@@ -417,7 +393,7 @@ def _full_census(n: int, q: int, bound: int) -> tuple[_FunctionalOrbit, ...]:
         meet = left_orbit & right_orbit
         if len(two_sided) * len(meet) != len(left_orbit) * len(right_orbit):
             raise AssertionError("orbit size identity failed; action bug")
-        c_inv = all(_translate(codes, t, gamma, field) in two_sided
+        c_inv = all(_translate(codes, t, gamma_codes, field) in two_sided
                     for t in range(1, q))
         out.append(_FunctionalOrbit(codes, len(two_sided), len(meet) == 1,
                                     _kills_n3(codes, n), c_inv))
@@ -437,8 +413,8 @@ def _xi_census(n: int, q: int, bound: int) -> tuple[tuple[tuple[int, ...], int, 
     positions = triangle_positions(n)
     near = [a for a, (i, j) in enumerate(positions) if j - i <= 2]
     moves = _sparse_moves(n, field, "coadjoint")
-    step = _sparse_stepper(moves, field)
-    gamma = _gamma_codes(n)
+    step = _stepper(moves, field)
+    gamma_codes = gamma(n, field).codes
 
     seen = set()
     out = []
@@ -452,7 +428,7 @@ def _xi_census(n: int, q: int, bound: int) -> tuple[tuple[tuple[int, ...], int, 
         orb = _bfs(codes, step, bound, "coadjoint orbit")
         seen |= orb
         stats = xi_stats(Functional.from_codes(n, field, codes))
-        c_inv = all(_translate(codes, t, gamma, field) in orb
+        c_inv = all(_translate(codes, t, gamma_codes, field) in orb
                     for t in range(1, q))
         out.append((codes, len(orb), stats, c_inv))
     return tuple(out)
@@ -490,31 +466,24 @@ def _alt_census(n: int, q: int, bound: int) -> tuple[_FunctionalOrbit, ...]:
         raise SpaceTooLarge(bound, classes, f"h* classes for U_{n}(F_{q})")
     positions = triangle_positions(n)
     idx12 = positions.index((1, 2)) if n >= 2 else None
-    gamma = _gamma_codes(n)
+    add, mul = field.add_table, field.mul_table
+    # subtracting codes[idx12] times gamma zeroes the (1,2) coordinate
+    canon_move = tuple((a, idx12, field.neg_code(1))
+                       for a, g in enumerate(gamma(n, field).codes) if g)
 
     def canon(codes):
-        t = codes[idx12]
-        if not t:
-            return codes
-        return tuple(field.sub_code(v, field.mul_code(t, g))
-                     for v, g in zip(codes, gamma))
+        return _apply(codes, canon_move, add, mul) if codes[idx12] else codes
 
     gens = _h_generators(n, field)
-    left_mats = [_action_matrix(g, "left") for g in gens]
-    right_mats = [_action_matrix(g, "right") for g in gens]
+    left_moves = [_element_move(g, "left") for g in gens]
+    right_moves = [_element_move(g, "right") for g in gens]
 
-    def stepper(mats):
-        def step(codes):
-            for m in mats:
-                yield canon(_apply_matrix(m, codes, field))
-        return step
+    def stepper(moves):
+        step = _stepper(moves, field)
+        return lambda codes: map(canon, step(codes))
 
-    left = stepper(left_mats)
-    right = stepper(right_mats)
-
-    def both(codes):
-        yield from left(codes)
-        yield from right(codes)
+    left, right = stepper(left_moves), stepper(right_moves)
+    both = stepper(left_moves + right_moves)
 
     free = [a for a in range(npos) if a != idx12]
     seen = set()
@@ -617,18 +586,17 @@ def tech_lem1_bruteforce(d: int, q: int, limit: int | None = None) -> int:
     field = field_make(q)
     bound = space_limit(limit)
     moves = _sparse_moves(n, field, "coadjoint")
-    step = _sparse_stepper(moves, field)
-    gamma = _gamma_codes(n)
-    positions = triangle_positions(n)
-    idx = {ij: a for a, ij in enumerate(positions)}
+    step = _stepper(moves, field)
+    gamma_codes = gamma(n, field).codes
+    idx = _position_index(n)
     count = 0
     for ts in product(range(1, q), repeat=2 * d):
-        codes = [0] * len(positions)
+        codes = [0] * len(idx)
         for i, t in enumerate(ts, start=1):
             codes[idx[i, i + 2]] = t
         codes = tuple(codes)
         orb = _bfs(codes, step, bound, "coadjoint orbit")
-        if _translate(codes, 1, gamma, field) in orb:
+        if _translate(codes, 1, gamma_codes, field) in orb:
             count += 1
     return count
 
@@ -678,31 +646,29 @@ def conjugacy_classes(group: str, n: int, q: int,
             raise SpaceTooLarge(bound, total, f"U_{n}(F_{q})")
         gens = [UnitriangularElement.elementary(n, field, i, i + 1, t)
                 for i in range(1, n) for t in range(1, q)]
-        pairs = [(g, group_inv(g)) for g in gens]
-
-        def conjugates(codes):
-            x = UnitriangularElement.from_above(StrictUpperMatrix(n, field, codes))
-            for g, ginv in pairs:
-                yield group_mul(group_mul(g, x), ginv).above.codes
 
         def wrap(codes):
             return UnitriangularElement.from_above(StrictUpperMatrix(n, field, codes))
+
+        def conjugate(g, codes):
+            return group_mul(group_mul(g, wrap(codes)), group_inv(g)).above.codes
 
         elements = product(range(q), repeat=npos)
     else:
         alternating = group == "truncated_alternating"
         n1, n2 = max(n - 1, 0), max(n - 2, 0)
-        total = q ** (n1 + n2 - (1 if alternating and n1 else 0))
+        npos = n1 + n2
+        total = q ** (npos - (1 if alternating and n1 else 0))
         if total > bound:
             raise SpaceTooLarge(bound, total, f"{group} group at (n,q)=({n},{q})")
         gens = _truncated_generators(n, field, alternating)
-        pairs = [(g, g.inverse()) for g in gens]
 
-        def conjugates(codes):
-            x = TruncatedElement(n, field, codes[:n1], codes[n1:])
-            for g, ginv in pairs:
-                y = g.mul(x).mul(ginv)
-                yield y.d1 + y.d2
+        def wrap(codes):
+            return TruncatedElement(n, field, codes[:n1], codes[n1:])
+
+        def conjugate(g, codes):
+            y = g.mul(wrap(codes)).mul(g.inverse())
+            return y.d1 + y.d2
 
         def element_iter():
             for d1 in product(range(q), repeat=n1):
@@ -715,10 +681,15 @@ def conjugacy_classes(group: str, n: int, q: int,
                 for d2 in product(range(q), repeat=n2):
                     yield d1 + d2
 
-        def wrap(codes):
-            return TruncatedElement(n, field, codes[:n1], codes[n1:])
-
         elements = element_iter()
+
+    # on x = 1 + X, conjugation by g is X -> g X g^{-1}: linear in X and
+    # unitriangular, with column s of its matrix the conjugate of e_s
+    units = [tuple(int(a == s) for a in range(npos)) for s in range(npos)]
+    moves = [tuple((d, s, c) for s, e in enumerate(units)
+                   for d, c in enumerate(conjugate(g, e)) if c and d != s)
+             for g in gens]
+    step = _stepper(moves, field)
 
     seen = set()
     orbits = []
@@ -728,7 +699,7 @@ def conjugacy_classes(group: str, n: int, q: int,
         count += 1
         if codes in seen:
             continue
-        cls = _bfs(codes, conjugates, bound, f"conjugacy class in {group}")
+        cls = _bfs(codes, step, bound, f"conjugacy class in {group}")
         seen |= cls
         orbits.append((wrap(codes), len(cls)))
     return OrbitCensus("conjugacy", tuple(orbits), count)

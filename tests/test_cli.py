@@ -184,6 +184,30 @@ def test_all_checks_are_exposed(capsys):
     ]
 
 
+@pytest.mark.parametrize("name", sorted(checks.CHECKS))
+def test_verify_outside_domain_exits_2_before_running(name, capsys, monkeypatch):
+    def must_not_run(n, q, limit):
+        raise AssertionError(f"{name} ran at n={n}, q={q}")
+
+    monkeypatch.setitem(checks.CHECKS, name, must_not_run)
+    below = str(checks.MIN_INDEX[name] - 1)
+    for sweep in ("0", below, f"3,{below}"):
+        code, out, err = invoke(capsys, "verify", name, "--n", sweep, "--q", "2")
+        assert (code, out) == (2, ""), sweep
+        assert f"{name} is defined for" in err
+    for qs in ("6", "2,1", "512"):
+        code, out, err = invoke(capsys, "verify", name, "--n", "3", "--q", qs)
+        assert (code, out) == (2, ""), qs
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", sorted(checks.CHECKS))
+def test_verify_passes_at_domain_edge(name, capsys):
+    code, out, _ = invoke(capsys, "verify", name, "--n", str(checks.MIN_INDEX[name]),
+                          "--q", "2,3")
+    assert code == 0, out
+
+
 # ----------------------------------------------------------------- sequences
 def test_sequences_single(capsys):
     code, out, _ = invoke(capsys, "sequences", "--name", "pell", "--count", "5")
@@ -212,6 +236,19 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "count", "--family", "heis", "--n", "3")[0] == 2
     assert invoke(capsys, "poly", "--family", "alt_he", "--n", "1")[0] == 2
     assert invoke(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize("n,q,message", [
+    ("0", "6", "6 is not a prime power"),
+    ("5", "1", "1 is not a prime power"),
+    ("3", "0", "0 is not a prime power"),
+    ("3", "2,6", "6 is not a prime power"),
+    ("3", "512", "exceeds the maximum 256"),
+])
+def test_count_rejects_field_orders(n, q, message, capsys):
+    code, out, err = invoke(capsys, "count", "--family", "heis", "--n", n, "--q", q)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_space_guard_exit_3(capsys, monkeypatch):

@@ -160,7 +160,8 @@ def test_chain_sweep(n, q):
         for member in chains.l_chain + chains.s_chain:
             for a in member:
                 for b in member:
-                    prod = oracle._matmul_codes(a, b, n, field)
+                    prod = linalg.StrictUpperMatrix(n, field, a).matmul(
+                        linalg.StrictUpperMatrix(n, field, b)).codes
                     assert in_row_space(member, prod, field)
 
 

@@ -1,0 +1,221 @@
+"""Per-object cross-checks of the oracle against slow, independent
+references: orbits against closures under ``linalg.act``, compiled
+generator moves against the group actions they encode, conjugacy classes
+against conjugation by every group element, l/s chains against the
+matrix-product route, and the oracle's import closure."""
+
+import ast
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+import heischar
+from heischar import gf, linalg, oracle
+from heischar.linalg import Functional, StrictUpperMatrix, UnitriangularElement
+
+
+def all_functionals(n, q):
+    field = gf.field_make(q)
+    for codes in itertools.product(range(q), repeat=n * (n - 1) // 2):
+        yield Functional.from_codes(n, field, codes)
+
+
+def sampled_functionals(n, q, count, seed):
+    field = gf.field_make(q)
+    rng = random.Random(seed)
+    return [Functional.from_codes(n, field, tuple(rng.randrange(q)
+                                                  for _ in range(n * (n - 1) // 2)))
+            for _ in range(count)]
+
+
+def superdiagonal_generators(n, field):
+    return [UnitriangularElement.elementary(n, field, i, i + 1, t)
+            for i in range(1, n) for t in range(1, field.q)]
+
+
+def apply_move(codes, move, field):
+    return oracle._apply(codes, move, field.add_table, field.mul_table)
+
+
+# ---------------------------------------------------------------- orbits
+def act_closure(lam, mode):
+    """Closure of lam under linalg.act by the generators 1 + t e_{i,i+1};
+    the two-sided orbit is the closure under left and right together."""
+    gens = superdiagonal_generators(lam.n, lam.field)
+    actions = ("left", "right") if mode == "two_sided" else (mode,)
+    seen, frontier = {lam}, [lam]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for g in gens:
+                for action in actions:
+                    nu = linalg.act(action, g, mu)
+                    if nu not in seen:
+                        seen.add(nu)
+                        new.append(nu)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("n,q,sample", [(3, 3, None), (4, 2, None), (4, 3, 12), (3, 4, 16)])
+def test_orbits_equal_act_closures(n, q, sample):
+    lams = (all_functionals(n, q) if sample is None
+            else sampled_functionals(n, q, sample, seed=n * 10 + q))
+    for lam in lams:
+        for mode in oracle.ORBIT_MODES:
+            assert oracle.orbit(lam, mode) == act_closure(lam, mode), (lam.codes, mode)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_superdiagonal_moves_match_act(q):
+    # the images of one functional under all moves of an action are its
+    # images under linalg.act by all generators
+    n, field = 4, gf.field_make(q)
+    gens = superdiagonal_generators(n, field)
+    for lam in sampled_functionals(n, q, 8, seed=q):
+        for mode in ("left", "right", "coadjoint"):
+            moves = oracle._sparse_moves(n, field, mode)
+            got = [apply_move(lam.codes, m, field) for m in moves]
+            want = [linalg.act(mode, g, lam).codes for g in gens]
+            assert got == want, (lam.codes, mode)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_alternating_moves_match_act(q):
+    # each compiled generator of ker(sigma), before canonicalization
+    n, field = 4, gf.field_make(q)
+    lams = sampled_functionals(n, q, 6, seed=100 + q)
+    for g in oracle._h_generators(n, field):
+        for mode in ("left", "right"):
+            move = oracle._element_move(g, mode)
+            for lam in lams:
+                assert apply_move(lam.codes, move, field) == \
+                    linalg.act(mode, g, lam).codes, (g.above.codes, mode)
+
+
+# ---------------------------------------------------- conjugacy classes
+def brute_force_classes(elements, conjugate):
+    """(least representative, size) of every class, conjugating by every
+    element of the group."""
+    seen, out = set(), []
+    for x in sorted(elements):
+        if x not in seen:
+            cls = {conjugate(g, x) for g in elements}
+            seen |= cls
+            out.append((x, len(cls)))
+    return out
+
+
+@pytest.mark.parametrize("group,n,q", [
+    ("truncated", 4, 3), ("truncated", 5, 2), ("truncated_alternating", 4, 3),
+    ("truncated_alternating", 5, 2), ("unitriangular", 3, 3), ("unitriangular", 4, 2),
+])
+def test_conjugacy_classes_match_full_conjugation(group, n, q):
+    field = gf.field_make(q)
+    if group == "unitriangular":
+        def wrap(codes):
+            return UnitriangularElement.from_above(StrictUpperMatrix(n, field, codes))
+
+        def conjugate(g, x):
+            gm, xm = wrap(g), wrap(x)
+            return linalg.group_mul(linalg.group_mul(gm, xm), linalg.group_inv(gm)).above.codes
+
+        elements = list(itertools.product(range(q), repeat=n * (n - 1) // 2))
+        reps = [(r.above.codes, size) for r, size in
+                oracle.conjugacy_classes(group, n, q).orbits]
+    else:
+        n1 = n - 1
+
+        def wrap(codes):
+            return oracle.TruncatedElement(n, field, codes[:n1], codes[n1:])
+
+        def conjugate(g, x):
+            y = wrap(g).mul(wrap(x)).mul(wrap(g).inverse())
+            return y.d1 + y.d2
+
+        elements = [c for c in itertools.product(range(q), repeat=2 * n - 3)
+                    if group == "truncated" or not wrap(c).sigma()]
+        reps = [(r.d1 + r.d2, size) for r, size in
+                oracle.conjugacy_classes(group, n, q).orbits]
+    assert reps == brute_force_classes(elements, conjugate)
+
+
+# ------------------------------------------------------------ l/s chains
+def reference_pairing_restrict(lam, s_basis, t_basis):
+    """The matrix-product route: build every X Y with matmul and
+    evaluate lam on it."""
+    n, field = lam.n, lam.field
+    if not s_basis:
+        return ()
+    if not t_basis:
+        return s_basis
+    constraints = [[lam.evaluate(StrictUpperMatrix(n, field, x).matmul(
+                        StrictUpperMatrix(n, field, y))) for x in s_basis]
+                   for y in t_basis]
+    vectors = []
+    for coeffs in linalg.null_space(constraints, field, len(s_basis)):
+        vec = [0] * len(s_basis[0])
+        for c, x in zip(coeffs, s_basis):
+            vec = [field.add_code(v, field.mul_code(c, u)) for v, u in zip(vec, x)]
+        vectors.append(vec)
+    return tuple(tuple(r) for r in linalg.row_reduce(vectors, field))
+
+
+def reference_ls_chain(lam):
+    npos = lam.n * (lam.n - 1) // 2
+    l_chain = [()]
+    s_chain = [tuple(tuple(int(a == b) for b in range(npos)) for a in range(npos))]
+    while True:
+        l_next = reference_pairing_restrict(lam, s_chain[-1], s_chain[-1])
+        s_next = reference_pairing_restrict(lam, s_chain[-1], l_next)
+        if l_next == l_chain[-1] and s_next == s_chain[-1]:
+            return tuple(l_chain), tuple(s_chain)
+        l_chain.append(l_next)
+        s_chain.append(s_next)
+
+
+@pytest.mark.parametrize("n,q,sample", [
+    (3, 3, None), (4, 2, None), (5, 3, 12), (4, 4, 12), (5, 5, 12),
+])
+def test_ls_chain_matches_matrix_product_route(n, q, sample):
+    lams = (all_functionals(n, q) if sample is None
+            else sampled_functionals(n, q, sample, seed=n * 10 + q))
+    for lam in lams:
+        chains = oracle.ls_chain(lam)
+        assert (chains.l_chain, chains.s_chain) == reference_ls_chain(lam), lam.codes
+
+
+# ---------------------------------------------------------- independence
+def package_imports(module):
+    """Modules of the package that ``heischar.<module>`` reaches through
+    its own import statements (including imports inside functions),
+    transitively; the package ``__init__`` is not followed."""
+    root = Path(heischar.__file__).parent
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("heischar"):
+                rest = node.module.split(".")[1:]
+                targets = rest[:1] or [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [a.name.split(".")[1] for a in node.names
+                           if a.name.startswith("heischar.")]
+            else:
+                continue
+            todo.extend(t.split(".")[0] for t in targets
+                        if (root / f"{t.split('.')[0]}.py").exists())
+    return seen
+
+
+def test_oracle_is_independent_of_the_formulas():
+    assert package_imports("oracle").isdisjoint({"counting", "combinat", "bijections"})
+    # the walk itself sees through from-imports and package imports
+    assert {"counting", "combinat", "bijections", "oracle"} <= package_imports("checks")
