@@ -25,11 +25,12 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import asdict
 
 from . import bijections, checks, combinat, counting
-from .errors import SpaceTooLarge
+from .errors import SpaceTooLarge, space_limit
 from .gf import field_make
 from .linalg import functional_from_text, functional_to_text
 
@@ -49,27 +50,40 @@ MAP_OPS = ("path-to-functional", "functional-to-path", "path-to-partition",
            "partition-to-functional", "classify")
 
 
+_INDEX_RANGE = re.compile(r"(\d+)(?:-(\d+))?", re.ASCII)
+
+
 def parse_int_list(text: str) -> list[int]:
-    """Inclusive comma/dash list: "3", "2,4", "2-5", "1,3-5,8"."""
+    """Inclusive comma/dash list of integers >= 0: "3", "2,4", "2-5",
+    "1,3-5,8".  A list longer than the size guard is refused unbuilt."""
     out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        a, dash, b = chunk.partition("-")
-        if dash:
-            lo, hi = int(a), int(b)
-            if hi < lo:
-                raise ValueError(f"empty range {chunk!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(a))
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        match = _INDEX_RANGE.fullmatch(chunk)
+        if not match:
+            raise ValueError(f"{chunk!r} is not an integer >= 0 or a range of them")
+        lo, hi = int(match[1]), int(match[2] or match[1])
+        if hi < lo:
+            raise ValueError(f"empty range {chunk!r}")
+        if (needed := len(out) + hi - lo + 1) > space_limit():
+            raise SpaceTooLarge(space_limit(), needed, f"the integer list {text!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"cannot parse integer list {text!r}")
     return out
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type for --count and --limit: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _emit(args, lines, payload, rows, fields) -> None:
+    """Write lines (text), payload (json; a one-item list as its item) or rows (csv)."""
+    if isinstance(payload, list) and len(payload) == 1:
+        payload = payload[0]
     if args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
@@ -95,13 +109,9 @@ def _cmd_count(args) -> int:
     results = [{"family": args.family, "n": n, "q": q,
                 "value": counting.poly(pfam, n)(q - 1)}
                for n in parse_int_list(args.n) for q in qs]
-    if len(results) == 1:
-        lines = [str(results[0]["value"])]
-        payload = results[0]
-    else:
-        lines = [f"{r['n']} {r['q']} {r['value']}" for r in results]
-        payload = results
-    _emit(args, lines, payload, results, ("family", "n", "q", "value"))
+    lines = ([str(results[0]["value"])] if len(results) == 1
+             else [f"{r['n']} {r['q']} {r['value']}" for r in results])
+    _emit(args, lines, results, results, ("family", "n", "q", "value"))
     return 0
 
 
@@ -116,18 +126,16 @@ def _cmd_poly(args) -> int:
             entry["x"] = args.x
             entry["value"] = p(args.x)
         results.append(entry)
+    key = "coefficients" if args.x is None else "value"
+    lines = [str(r[key]) if len(results) == 1 else f"{r['n']} {r[key]}" for r in results]
     if args.x is None:
         fields = ("family", "n", "coefficients")
         rows = [{**r, "coefficients": " ".join(map(str, r["coefficients"]))}
                 for r in results]
-        lines = [str(r["coefficients"]) if len(results) == 1
-                 else f"{r['n']} {r['coefficients']}" for r in results]
     else:
         fields = ("family", "n", "x", "value")
         rows = results
-        lines = [str(r["value"]) if len(results) == 1
-                 else f"{r['n']} {r['value']}" for r in results]
-    _emit(args, lines, results[0] if len(results) == 1 else results, rows, fields)
+    _emit(args, lines, results, rows, fields)
     return 0
 
 
@@ -146,8 +154,7 @@ def _cmd_enumerate(args) -> int:
             lines.extend(items)
             rows.extend({"family": args.family, "n": n, "q": q, "item": it}
                         for it in items)
-    payload = blocks[0] if len(blocks) == 1 else blocks
-    _emit(args, lines, payload, rows, ("family", "n", "q", "item"))
+    _emit(args, lines, blocks, rows, ("family", "n", "q", "item"))
     return 0
 
 
@@ -219,9 +226,8 @@ def _cmd_sequences(args) -> int:
                      "values": values})
         lines.append(f"{name} ({oeis}): {' '.join(map(str, values))}"
                      f"  -- {description}")
-    payload = rows[0] if len(rows) == 1 else rows
     csv_rows = [{**r, "values": " ".join(map(str, r["values"]))} for r in rows]
-    _emit(args, lines, payload, csv_rows, ("name", "oeis", "description", "values"))
+    _emit(args, lines, rows, csv_rows, ("name", "oeis", "description", "values"))
     return 0
 
 
@@ -233,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
 
     sized = argparse.ArgumentParser(add_help=False)
-    sized.add_argument("--limit", type=int, default=None, metavar="N",
+    sized.add_argument("--limit", type=_nonnegative, default=None, metavar="N",
                        help="override the state-space size guard")
 
     ap = argparse.ArgumentParser(
@@ -285,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequences", parents=[common],
                        help="named integer sequences with catalogue tags")
     p.add_argument("--name", default=None, help="print a single sequence")
-    p.add_argument("--count", type=int, default=8, metavar="K",
+    p.add_argument("--count", type=_nonnegative, default=8, metavar="K",
                    help="number of terms (default 8)")
     p.set_defaults(handler=_cmd_sequences)
     return ap

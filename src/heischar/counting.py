@@ -24,16 +24,20 @@ Each family can be produced by up to three independent routes: ``poly``
 (defining sums over a lattice-point DP), ``closed_form`` (binomial-sum
 expressions) and ``series_coeffs`` (generating-function recurrences at a
 fixed integer x); tests require the routes to agree.
+
+The numbers behind ``poly`` come from tables built bottom-up (Delannoy
+anti-diagonals, Stirling rows) that keep only their last few rows, so no
+index is limited by the recursion depth.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
-from .errors import NonIntegralDivision, UnknownFamily
+from .errors import NonIntegralDivision, SpaceTooLarge, UnknownFamily, space_limit
 
 
 def binom(n: int, k: int) -> int:
@@ -87,13 +91,8 @@ class IntPolynomial:
         return self.coeffs[-1] if self.coeffs else 0
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.from_list(out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPolynomial.from_list(map(sum, pairs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + other.scale(-1)
@@ -163,64 +162,86 @@ def _one_plus_x_pow(e: int) -> IntPolynomial:
     return IntPolynomial.from_list([binom(e, i) for i in range(e + 1)])
 
 
-# --------------------------------------------------------------- lattice DPs
+# --------------------------------------------------------- number tables
+class _ForwardTable:
+    """Rows 0, 1, ... of a number table with row 0 = [1], built forward on
+    demand: ``extend(m, rows)`` returns row m from the kept rows before it
+    (the last is row m - 1).  Only the last ``keep`` rows are kept, so an
+    earlier row is rebuilt from row 0.  Negative rows are empty."""
+
+    def __init__(self, extend, keep: int):
+        self._extend, self._keep = extend, keep
+        self._rows, self._top = [[1]], 0
+
+    def row(self, m: int) -> list[int]:
+        if m < 0:
+            return []
+        if m <= self._top - len(self._rows):
+            self._rows, self._top = [[1]], 0
+        while self._top < m:
+            self._top += 1
+            self._rows.append(self._extend(self._top, self._rows))
+            del self._rows[:-self._keep]
+        return self._rows[m - self._top - 1]
+
+
 _DELANNOY_STEPS = {
     "D": ((1, 0), (1, 1), (0, 1)),
     "Dp": ((1, 0), (1, 1), (0, 1), (0, 2)),
     "Dpp": ((2, 1), (1, 2), (0, 1)),
 }
 
-_DELANNOY_CLOSED = {
-    "D": lambda a, b: sum(binom(a + b - k, k) * binom(a + b - 2 * k, b - k)
-                          for k in range(0, min(a, b) + 1)),
-    "Dp": lambda a, b: sum(binom(k, a + b - k) * binom(k, a)
-                           for k in range(0, a + b + 1)),
-    "Dpp": lambda a, b: sum(binom(a + b - 2 * k, k) * binom(k, a - k)
-                            for k in range(0, a + b + 1)),
-}
+
+def _delannoy_diagonal(steps, s: int, rows) -> list[int]:
+    """Anti-diagonal s: entry b counts the paths to (s - b, b).  A step
+    (dx, dy) moves entry j of diagonal s - dx - dy to entry j + dy."""
+    parts = [[0] * dy + rows[-dx - dy] + [0] * dx
+             for dx, dy in steps if dx + dy <= s]
+    return list(map(sum, zip(*parts)))
 
 
-@lru_cache(maxsize=None)
+_DELANNOY = {kind: _ForwardTable(partial(_delannoy_diagonal, steps), keep=3)
+             for kind, steps in _DELANNOY_STEPS.items()}
+
+
 def delannoy(kind: str, a: int, b: int) -> int:
     """Number of unlabeled paths from the origin to (a, b).
 
     kind "D" uses steps (1,0), (1,1), (0,1); "Dp" adds (0,2); "Dpp" uses
-    (2,1), (1,2), (0,1).  Computed by the step recurrence and, the first
-    time each value is requested, cross-checked against the closed-form
-    binomial sum.
+    (2,1), (1,2), (0,1).  Read from anti-diagonal a + b of ``_DELANNOY``.
     """
     if kind not in _DELANNOY_STEPS:
         raise UnknownFamily(f"unknown Delannoy kind {kind!r}")
     if a < 0 or b < 0:
         return 0
-    if a == 0 and b == 0:
-        return 1
-    value = sum(delannoy(kind, a - dx, b - dy) for dx, dy in _DELANNOY_STEPS[kind])
-    check = _DELANNOY_CLOSED[kind](a, b)
-    if value != check:
-        raise AssertionError(f"delannoy({kind},{a},{b}): DP {value} != closed {check}")
-    return value
+    return _DELANNOY[kind].row(a + b)[b]
 
 
-# ------------------------------------------------------- auxiliary numbers
-@lru_cache(maxsize=None)
+def _stirling_row(n: int, rows) -> list[int]:
+    """S(n, k) = k S(n-1, k) + S(n-1, k-1) for k = 0..n."""
+    prev = rows[-1]
+    return [k * a + b for k, (a, b) in enumerate(zip(prev + [0], [0] + prev))]
+
+
+def _assoc_stirling_row(n: int, rows) -> list[int]:
+    """A(n, k) = k A(n-1, k) + (n-1) A(n-2, k-1) for k = 0..n."""
+    prev, prev2 = rows[-1], rows[-2] if n >= 2 else []
+    return [k * a + (n - 1) * b
+            for k, (a, b) in enumerate(zip(prev + [0], [0] + prev2 + [0]))]
+
+
+_STIRLING = _ForwardTable(_stirling_row, keep=1)
+_ASSOC_STIRLING = _ForwardTable(_assoc_stirling_row, keep=2)
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k <= 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _STIRLING.row(n)[k] if 0 <= k <= n else 0
 
 
-@lru_cache(maxsize=None)
 def assoc_stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k blocks all of size >= 2."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if n < 0 or k <= 0:
-        return 0
-    return k * assoc_stirling2(n - 1, k) + (n - 1) * assoc_stirling2(n - 2, k - 1)
+    return _ASSOC_STIRLING.row(n)[k] if 0 <= k <= n else 0
 
 
 def narayana(n: int, k: int) -> int:
@@ -234,14 +255,14 @@ def catalan(n: int) -> int:
     return binom(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
 def fibonacci(n: int) -> int:
     """Fibonacci numbers with f_0 = 0, f_1 = f_2 = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n < 2:
-        return n
-    return fibonacci(n - 1) + fibonacci(n - 2)
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 # ------------------------------------------------------------- poly families
@@ -249,12 +270,6 @@ _PATH_FAMILY_KIND = {"del": "D", "pre_he": "Dp", "pre_in": "Dpp"}
 
 FAMILIES = ("del", "pre_he", "pre_in", "he", "inv", "bell", "cat", "fe",
             "alt_bell", "alt_cat", "alt_del", "alt_he")
-
-
-def _path_poly(kind: str, n: int) -> IntPolynomial:
-    if n <= 0:
-        return IntPolynomial.zero()
-    return IntPolynomial.from_list([delannoy(kind, n - 1 - k, k) for k in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -265,23 +280,17 @@ def poly(family: str, n: int) -> IntPolynomial:
     alt_bell/alt_cat/alt_del need n >= 1 and alt_he needs n >= 2.
     """
     if family in _PATH_FAMILY_KIND:
-        return _path_poly(_PATH_FAMILY_KIND[family], n)
+        return IntPolynomial.from_list(_DELANNOY[_PATH_FAMILY_KIND[family]].row(n - 1))
     if family == "he":
         return poly("pre_he", n) - poly("pre_he", n - 2).shift_mul(2)
     if family == "inv":
         return (poly("pre_in", n - 1) + poly("pre_in", n - 2)).shift_mul(1)
     if family == "bell":
-        if n < 0:
-            return IntPolynomial.zero()
-        return IntPolynomial.from_list([stirling2(n, n - k) for k in range(n + 1)])
+        return IntPolynomial.from_list(_STIRLING.row(n)[::-1])
     if family == "cat":
-        if n < 0:
-            return IntPolynomial.zero()
         return IntPolynomial.from_list([narayana(n, n - k) for k in range(n + 1)])
     if family == "fe":
-        if n < 0:
-            return IntPolynomial.zero()
-        return IntPolynomial.from_list([assoc_stirling2(n, n - k) for k in range(n + 1)])
+        return IntPolynomial.from_list(_ASSOC_STIRLING.row(n)[::-1])
     if family == "alt_bell":
         _need(family, n, 1)
         fe = poly("fe", n - 1)
@@ -324,23 +333,15 @@ def closed_form(family: str, n: int) -> IntPolynomial:
     are defined.
     """
     if family == "del":
-        if n <= 0:
-            return IntPolynomial.zero()
         return _sum(IntPolynomial.x_power(k, binom(n - 1 - k, k)) * _one_plus_x_pow(n - 1 - 2 * k)
                     for k in range((n - 1) // 2 + 1))
     if family == "pre_he":
-        if n <= 0:
-            return IntPolynomial.zero()
         return _sum(IntPolynomial.x_power(k, binom(n - 1 - k, k)) * _one_plus_x_pow(n - 1 - k)
                     for k in range((n - 1) // 2 + 1))
     if family == "pre_in":
-        if n <= 0:
-            return IntPolynomial.zero()
         return _sum(IntPolynomial.x_power(n - 1 - 2 * k, binom(n - 1 - 2 * k, k)) * _one_plus_x_pow(k)
                     for k in range((n - 1) // 3 + 1))
     if family == "he":
-        if n <= 0:
-            return IntPolynomial.zero()
         if n == 1:
             return IntPolynomial.const(1)
         m = n - 1
@@ -349,8 +350,6 @@ def closed_form(family: str, n: int) -> IntPolynomial:
                     * IntPolynomial.x_power(k) * _one_plus_x_pow(m - 1 - k)
                     for k in range(m // 2 + 1))
     if family == "inv":
-        if n <= 1:
-            return IntPolynomial.zero()
         m = n - 1
         return _sum((IntPolynomial.const(binom(m - 2 * k - 2, k))
                      + IntPolynomial.x_power(1, binom(m - 2 * k - 1, k)))
@@ -367,13 +366,13 @@ def closed_form(family: str, n: int) -> IntPolynomial:
         m = n - 1
         return _sum(IntPolynomial.x_power(k, catalan(k) * binom(m, 2 * k))
                     * _one_plus_x_pow(m - 1 - 2 * k)
-                    for k in range((m - 1) // 2 + 1)) if m >= 1 else IntPolynomial.zero()
+                    for k in range((m - 1) // 2 + 1))
     if family == "alt_del":
         _need(family, n, 1)
         m = n - 1
         return _sum(IntPolynomial.x_power(k, binom(m - k, k))
                     * _one_plus_x_pow(m - 1 - 2 * k)
-                    for k in range((m - 1) // 2 + 1)) if m >= 1 else IntPolynomial.zero()
+                    for k in range((m - 1) // 2 + 1))
     raise UnknownFamily(f"no closed form for family {family!r}")
 
 
@@ -400,19 +399,14 @@ def series_coeffs(family: str, x: int, count: int) -> list[int]:
     """
     if family not in _SERIES_FAMILIES:
         raise UnknownFamily(f"no series recurrence for family {family!r}")
-    out = []
-    for n in range(count):
-        if n == 0:
-            out.append(0)
-        elif n == 1:
-            out.append(1)
-        elif family == "del":
+    out = [0, 1][:max(count, 0)]
+    for n in range(2, count):
+        if family == "del":
             out.append((x + 1) * out[n - 1] + x * out[n - 2])
         elif family == "pre_he":
             out.append((x + 1) * out[n - 1] + x * (x + 1) * out[n - 2])
         else:
-            prev3 = out[n - 3] if n >= 3 else 0
-            out.append(x * out[n - 1] + x * (x + 1) * prev3)
+            out.append(x * out[n - 1] + x * (x + 1) * (out[n - 3] if n >= 3 else 0))
     return out
 
 
@@ -430,12 +424,9 @@ def degree_count(n: int, e: int, as_polynomial: bool = False, q: int | None = No
         raise ValueError("n must be >= 2")
     if e < 0:
         raise ValueError("e must be >= 0")
-    out = IntPolynomial.zero()
     c1, c2 = binom(n - e - 1, e), binom(n - e - 2, e)
-    if c1:
-        out = out + IntPolynomial.x_power(e, c1) * _one_plus_x_pow(n - e - 2)
-    if c2:
-        out = out + IntPolynomial.x_power(e + 1, c2) * _one_plus_x_pow(n - e - 2)
+    out = ((IntPolynomial.x_power(e, c1) + IntPolynomial.x_power(e + 1, c2))
+           * _one_plus_x_pow(n - e - 2))
     if as_polynomial:
         return out
     if q is None:
@@ -461,6 +452,9 @@ def c_invariant_heis_count(n: int, q: int, method: str = "compositions") -> int:
         raise ValueError("n must be >= 1")
     x = q - 1
     if method == "compositions":
+        if 2 ** (n - 1) > space_limit():
+            raise SpaceTooLarge(space_limit(), 2 ** (n - 1),
+                                f"summing over the compositions of {n}")
         total = 0
         # compositions of n via subsets of the n-1 gaps
         for cuts in itertools.product((0, 1), repeat=n - 1):

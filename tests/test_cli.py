@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heischar import checks, cli, counting
 from heischar.checks import CheckCase
 from heischar.cli import parse_int_list, run
+from heischar.errors import DEFAULT_SPACE_LIMIT, SpaceTooLarge
 
 
 def invoke(capsys, *args):
@@ -27,6 +30,21 @@ def test_parse_int_list():
         parse_int_list("5-2")
     with pytest.raises(ValueError):
         parse_int_list(",")
+    for text in ("-1", "2,-1", "-3-5", "1--2", "x"):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            parse_int_list(text)
+
+
+def test_parse_int_list_refuses_huge_lists_unbuilt(monkeypatch):
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    with pytest.raises(SpaceTooLarge) as info:
+        parse_int_list("1-10000000000")
+    assert (info.value.bound, info.value.needed) == (DEFAULT_SPACE_LIMIT, 10000000000)
+    monkeypatch.setenv("HEISCHAR_SPACE_LIMIT", "100")
+    assert parse_int_list("1-100") == list(range(1, 101))
+    for text in ("1-101", "1-100,0", "0-50,50-99"):
+        with pytest.raises(SpaceTooLarge, match="needs 101"):
+            parse_int_list(text)
 
 
 # ------------------------------------------------------------------ commands
@@ -249,6 +267,71 @@ def test_count_rejects_field_orders(n, q, message, capsys):
     code, out, err = invoke(capsys, "count", "--family", "heis", "--n", n, "--q", q)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "heis-thm", "--n", "-1", "--q", "2"),
+    ("count", "--family", "heis", "--n", "-1", "--q", "2"),
+    ("count", "--family", "heis", "--n", "3", "--q", "2,-1"),
+    ("poly", "--family", "del", "--n", "-1"),
+])
+def test_negative_index_is_named(argv, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: '-1' is not an integer >= 0 or a range of them\n"
+
+
+def test_huge_range_exits_3_unbuilt(capsys, monkeypatch):
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    code, out, err = invoke(capsys, "count", "--family", "heis",
+                            "--n", "1-10000000000", "--q", "2")
+    assert (code, out) == (3, "")
+    assert "size guard" in err and "(needs 10000000000)" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("sequences", "--count", "-3"), "argument --count: expected an integer >= 0, got -3"),
+    (("enumerate", "--family", "pell", "--n", "4", "--q", "2", "--limit", "-1"),
+     "argument --limit: expected an integer >= 0, got -1"),
+    (("verify", "tech-lem1", "--limit", "-5"),
+     "argument --limit: expected an integer >= 0, got -5"),
+])
+def test_negative_count_and_limit_exit_2_at_parse(argv, message, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_zero_count_prints_empty_rows(capsys):
+    code, out, _ = invoke(capsys, "sequences", "--name", "pell", "--count", "0")
+    assert (code, out) == (0, "pell (A000129):   -- del at x=1: Heisenberg "
+                              "supercharacters over F_2\n")
+
+
+# Index, field-order and count values from -5 to 400: single values,
+# ranges (which may be empty or reversed) and short lists.
+_values = st.integers(-5, 400)
+_int_lists = st.one_of(
+    _values.map(str),
+    st.tuples(_values, _values).map(lambda ab: f"{ab[0]}-{ab[1]}"),
+    st.lists(_values, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+)
+_argvs = st.one_of(
+    st.tuples(st.just("count"), st.just("--family"), st.sampled_from(sorted(cli.FAMILIES)),
+              st.just("--n"), _int_lists, st.just("--q"), _int_lists),
+    st.tuples(st.just("poly"), st.just("--family"), st.sampled_from(counting.FAMILIES),
+              st.just("--n"), _int_lists),
+    st.tuples(st.just("sequences"), st.just("--count"), _values.map(str)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argvs)
+def test_exit_code_contract(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = run(list(argv))
+    assert code in (0, 2, 3), (argv, sink.getvalue()[-300:])
 
 
 def test_space_guard_exit_3(capsys, monkeypatch):

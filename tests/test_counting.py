@@ -1,5 +1,10 @@
 """Counting polynomials, closed forms, recurrences and named sequences."""
 
+import os
+import subprocess
+import sys
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +24,7 @@ from heischar.counting import (
     series_coeffs,
     tech_lem_count,
 )
-from heischar.errors import NonIntegralDivision, UnknownFamily
+from heischar.errors import NonIntegralDivision, SpaceTooLarge, UnknownFamily
 
 X = IntPolynomial.from_list([0, 1])
 ONE_PLUS_X = IntPolynomial.from_list([1, 1])
@@ -138,6 +143,89 @@ def test_delannoy_recurrence_and_symmetry():
                                            + delannoy("D", a - 1, b - 1))
             assert delannoy("D", a, b) == delannoy("D", b, a)
     assert [delannoy("Dp", 1, k) for k in range(7)] == [1, 3, 7, 15, 30, 58, 109]
+
+
+# Closed-form binomial sums of the three Delannoy-type path counts.
+DELANNOY_CLOSED = {
+    "D": lambda a, b: sum(binom(a + b - k, k) * binom(a + b - 2 * k, b - k)
+                          for k in range(0, min(a, b) + 1)),
+    "Dp": lambda a, b: sum(binom(k, a + b - k) * binom(k, a)
+                           for k in range(0, a + b + 1)),
+    "Dpp": lambda a, b: sum(binom(a + b - 2 * k, k) * binom(k, a - k)
+                            for k in range(0, a + b + 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DELANNOY_CLOSED))
+def test_delannoy_matches_closed_form(kind):
+    for s in range(81):
+        for b in range(s + 1):
+            assert delannoy(kind, s - b, b) == DELANNOY_CLOSED[kind](s - b, b), (kind, s, b)
+
+
+@lru_cache(maxsize=None)
+def _stirling_reference(n, k):
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k <= 0 or k > n:
+        return 0
+    return k * _stirling_reference(n - 1, k) + _stirling_reference(n - 1, k - 1)
+
+
+@lru_cache(maxsize=None)
+def _assoc_stirling_reference(n, k):
+    if n == 0:
+        return 1 if k == 0 else 0
+    if n < 0 or k <= 0:
+        return 0
+    return (k * _assoc_stirling_reference(n - 1, k)
+            + (n - 1) * _assoc_stirling_reference(n - 2, k - 1))
+
+
+def test_rows_requested_out_of_order():
+    # Each table keeps only its last rows; going back must rebuild, not
+    # reuse a stale row.
+    for n in (30, 5, 30, 29, -1, 0):
+        ks = range(-2, n + 3)
+        assert [counting.stirling2(n, k) for k in ks] \
+            == [_stirling_reference(n, k) for k in ks], n
+        assert [counting.assoc_stirling2(n, k) for k in ks] \
+            == [_assoc_stirling_reference(n, k) for k in ks], n
+        for kind, closed in DELANNOY_CLOSED.items():
+            assert [delannoy(kind, n - b, b) for b in range(n + 1)] \
+                == [closed(n - b, b) for b in range(n + 1)], (kind, n)
+
+
+def test_deep_indices_do_not_recurse():
+    f = [fibonacci(n) for n in (2500, 2501, 5000)]
+    assert f[2] == f[0] * (2 * f[1] - f[0])  # F(2m) = F(m) (2 F(m+1) - F(m))
+    assert delannoy("Dpp", 0, 3000) == 1     # only (0,1) steps stay on a = 0
+    assert [counting.stirling2(1500, k) for k in (1, 2, 1499, 1500)] \
+        == [1, 2 ** 1499 - 1, binom(1500, 2), 1]
+    assert counting.stirling2(1500, 700) > 0
+
+
+def _cold_cli(*argv):
+    """Run the CLI in a fresh ``python -S`` process, so no cache is warm."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-S", "-m", "heischar.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cold_poly_he_330():
+    proc = _cold_cli("poly", "--family", "he", "--n", "330")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{list(closed_form('he', 330).coeffs)}\n"
+
+
+def test_cold_poly_bell_700():
+    proc = _cold_cli("poly", "--family", "bell", "--n", "700")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = [1]  # S(n, k) for k = 0..n, one row at a time
+    for n in range(1, 701):
+        row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    assert proc.stdout == f"{row[:0:-1]}\n"  # coefficient k is S(700, 700 - k)
 
 
 # -------------------------------------------------------------- family polys
@@ -317,6 +405,18 @@ def test_c_invariant_heis_count():
         c_invariant_heis_count(0, 2)
     with pytest.raises(ValueError):
         c_invariant_heis_count(3, 2, "table")
+
+
+def test_c_invariant_compositions_size_guard(monkeypatch):
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    with pytest.raises(SpaceTooLarge) as info:
+        c_invariant_heis_count(26, 2)  # 2^25 compositions, default guard 2^24
+    assert info.value.needed == 2 ** 25
+    assert c_invariant_heis_count(26, 2, "recurrence") == poly("inv", 26)(1)
+    monkeypatch.setenv("HEISCHAR_SPACE_LIMIT", "16")
+    assert c_invariant_heis_count(5, 3) == poly("inv", 5)(2)
+    with pytest.raises(SpaceTooLarge, match="needs 32"):
+        c_invariant_heis_count(6, 3)
 
 
 def test_tech_lem_count():
