@@ -16,7 +16,9 @@ exceeded (see HEISCHAR_SPACE_LIMIT).
 
 ``count`` evaluates polynomials while ``enumerate`` streams the actual
 objects, so piping ``enumerate`` through a line count and comparing with
-``count`` cross-checks the two routes.
+``count`` cross-checks the two routes.  Text and csv ``enumerate`` output is
+written in chunks as it is produced; json is built whole.  The checks of
+every (n, q) pair run before the first byte is written.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import json
 import re
 import sys
 from dataclasses import asdict
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import bijections, checks, combinat, counting
 from .errors import SpaceTooLarge, space_limit
@@ -65,7 +69,8 @@ def parse_int_list(text: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty range {chunk!r}")
         if (needed := len(out) + hi - lo + 1) > space_limit():
-            raise SpaceTooLarge(space_limit(), needed, f"the integer list {text!r}")
+            raise SpaceTooLarge(space_limit(), needed, f"the integer list {text!r}",
+                                limit_arg=False)
         out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"cannot parse integer list {text!r}")
@@ -80,25 +85,45 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _emit(args, lines, payload, rows, fields) -> None:
-    """Write lines (text), payload (json; a one-item list as its item) or rows (csv)."""
-    if isinstance(payload, list) and len(payload) == 1:
-        payload = payload[0]
-    if args.format == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
+_CHUNK = 4096  # lines per write when text and csv are streamed
+
+
+def _text_chunks(lines):
+    lines = iter(lines)
+    while chunk := "".join([line + "\n" for line in islice(lines, _CHUNK)]):
+        yield chunk
+
+
+def _csv_chunks(rows, fields):
+    rows = chain([fields], rows)
+    while True:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        body = buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerows(islice(rows, _CHUNK))
+        if not (chunk := buf.getvalue()):
+            return
+        yield chunk
+
+
+def _emit(args, lines, payload, rows, fields) -> None:
+    """Write lines (text), payload (json; a one-item list as its item) or rows
+    (csv; sequences in the order of fields).
+
+    lines and rows may be lazy: text and csv are written a few thousand
+    lines at a time as they are produced, while json is written whole.
+    """
+    if args.format == "json":
+        if isinstance(payload, list) and len(payload) == 1:
+            payload = payload[0]
+        chunks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
+    elif args.format == "csv":
+        chunks = _csv_chunks(rows, fields)
     else:
-        body = "".join(line + "\n" for line in lines)
+        chunks = _text_chunks(lines)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_count(args) -> int:
@@ -111,7 +136,8 @@ def _cmd_count(args) -> int:
                for n in parse_int_list(args.n) for q in qs]
     lines = ([str(results[0]["value"])] if len(results) == 1
              else [f"{r['n']} {r['q']} {r['value']}" for r in results])
-    _emit(args, lines, results, results, ("family", "n", "q", "value"))
+    fields = ("family", "n", "q", "value")
+    _emit(args, lines, results, map(itemgetter(*fields), results), fields)
     return 0
 
 
@@ -130,31 +156,35 @@ def _cmd_poly(args) -> int:
     lines = [str(r[key]) if len(results) == 1 else f"{r['n']} {r[key]}" for r in results]
     if args.x is None:
         fields = ("family", "n", "coefficients")
-        rows = [{**r, "coefficients": " ".join(map(str, r["coefficients"]))}
+        rows = [(r["family"], r["n"], " ".join(map(str, r["coefficients"])))
                 for r in results]
     else:
         fields = ("family", "n", "x", "value")
-        rows = results
+        rows = map(itemgetter(*fields), results)
     _emit(args, lines, results, rows, fields)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     kind, efam, _ = FAMILIES[args.family]
-    blocks, lines, rows = [], [], []
-    for n in parse_int_list(args.n):
-        for q in parse_int_list(args.q):
-            if kind == "paths":
-                items = [combinat.path_to_text(p)
-                         for p in combinat.enumerate_paths(efam, n, q, args.limit)]
-            else:
-                items = [combinat.partition_to_text(p)
-                         for p in combinat.enumerate_partitions(n, q, efam, args.limit)]
-            blocks.append({"family": args.family, "n": n, "q": q, "items": items})
-            lines.extend(items)
-            rows.extend({"family": args.family, "n": n, "q": q, "item": it}
-                        for it in items)
-    _emit(args, lines, blocks, rows, ("family", "n", "q", "item"))
+    qs = parse_int_list(args.q)
+    # every family, field and size check runs here, before the first byte
+    if kind == "paths":
+        to_text = combinat.path_to_text
+        streams = [(n, q, combinat.enumerate_paths(efam, n, q, args.limit))
+                   for n in parse_int_list(args.n) for q in qs]
+    else:
+        to_text = combinat.partition_to_text
+        streams = [(n, q, combinat.enumerate_partitions(n, q, efam, args.limit))
+                   for n in parse_int_list(args.n) for q in qs]
+    if args.format == "json":
+        blocks = [{"family": args.family, "n": n, "q": q, "items": list(map(to_text, items))}
+                  for n, q, items in streams]
+        _emit(args, (), blocks, (), ())
+    else:
+        lines = (to_text(item) for _, _, items in streams for item in items)
+        rows = ((args.family, n, q, to_text(item)) for n, q, items in streams for item in items)
+        _emit(args, lines, None, rows, ("family", "n", "q", "item"))
     return 0
 
 
@@ -189,8 +219,8 @@ def _cmd_map(args) -> int:
         payload["offending_block"] = witness.offending_block
         result = witness.classification
     payload["result"] = result
-    row = {k: ",".join("?" if x is None else x for x in v) if isinstance(v, list)
-           else v for k, v in payload.items()}
+    row = [",".join("?" if x is None else x for x in v) if isinstance(v, list) else v
+           for v in payload.values()]
     _emit(args, [result], payload, [row], tuple(payload))
     return 0
 
@@ -208,8 +238,8 @@ def _cmd_verify(args) -> int:
     passed = sum(c.passed for c in cases)
     lines.append(f"{passed}/{len(cases)} cases passed")
     payload = {"check": args.theorem, "passed": passed == len(cases), "report": rows}
-    _emit(args, lines, payload, rows,
-          ("check", "n", "q", "quantity", "expected", "computed", "passed"))
+    fields = ("check", "n", "q", "quantity", "expected", "computed", "passed")
+    _emit(args, lines, payload, map(itemgetter(*fields), rows), fields)
     return 0 if passed == len(cases) else 1
 
 
@@ -226,7 +256,8 @@ def _cmd_sequences(args) -> int:
                      "values": values})
         lines.append(f"{name} ({oeis}): {' '.join(map(str, values))}"
                      f"  -- {description}")
-    csv_rows = [{**r, "values": " ".join(map(str, r["values"]))} for r in rows]
+    csv_rows = [(r["name"], r["oeis"], r["description"], " ".join(map(str, r["values"])))
+                for r in rows]
     _emit(args, lines, rows, csv_rows, ("name", "oeis", "description", "values"))
     return 0
 

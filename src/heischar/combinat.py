@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from . import counting
@@ -52,6 +53,37 @@ def _check_labels(q: int, labels) -> None:
     for t in labels:
         if not 1 <= t < q:
             raise ValueError(f"label {t} is not a nonzero code of F_{q}")
+
+
+def _token(entry) -> str:
+    """The text token of one labelled step, like "R" or "UU(2,1)"."""
+    step, labels = entry
+    name = STEP_NAMES[step]
+    return name if not labels else f"{name}({','.join(map(str, labels))})"
+
+
+@lru_cache(maxsize=None)
+def _step_table(q: int) -> tuple[dict, dict]:
+    """The labelled steps over F_q as (rows, tokens): rows maps each step to
+    its (step, labels) entries in enumeration order (labels lexicographic),
+    tokens maps each entry to its text token; its keys are exactly the
+    valid entries."""
+    rows = {step: tuple((step, labels) for labels in product(range(1, q), repeat=step[1]))
+            for step in STEP_ORDER}
+    return rows, {entry: _token(entry) for row in rows.values() for entry in row}
+
+
+# Single paths look their steps up in the table only over fields this small:
+# at q = 256 the table has 130,816 entries (about 30 MiB, 0.3 s to build).
+_TOKEN_TABLE_MAX_Q = 32
+
+
+@lru_cache(maxsize=None)
+def _step_tokens(q) -> dict:
+    """The token map of q's step table, or {} when q is not a small order."""
+    if isinstance(q, int) and 1 < q <= _TOKEN_TABLE_MAX_Q:
+        return _step_table(q)[1]
+    return {}
 
 
 @dataclass(frozen=True)
@@ -190,6 +222,11 @@ class LabeledLatticePath:
     steps: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
 
     def __post_init__(self):
+        try:
+            if all(map(_step_tokens(self.q).__contains__, self.steps)):
+                return
+        except TypeError:  # something unhashable, e.g. labels given as a list
+            pass
         for step, labels in self.steps:
             if step not in STEP_NAMES:
                 raise ValueError(f"unknown step {step}")
@@ -229,12 +266,13 @@ def _expected_count(family: str, n: int, q: int) -> int:
 
 
 def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
-    """Yield the family's paths for U_n(F_q) in lexicographic order.
+    """The family's paths for U_n(F_q), yielded lazily in lexicographic order.
 
     Order: at each position, steps compare by STEP_ORDER and label tuples
-    lexicographically.  The expected stream size (the family's counting
-    polynomial at x = q-1) is checked against the size guard up front;
-    SpaceTooLarge carries the bound.
+    lexicographically.  The family, the field and the expected stream size
+    (the family's counting polynomial at x = q-1) against the size guard
+    are checked when this is called, before the first path; SpaceTooLarge
+    carries the bound.
     """
     if family not in PATH_FAMILIES:
         raise UnknownFamily(f"unknown path family {family!r}")
@@ -243,50 +281,67 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
     expected = _expected_count(family, n, q)
     if expected > bound:
         raise SpaceTooLarge(bound, expected, f"path family {family}({n}, F_{q})")
+    return _walk_paths(family, n, q)
 
-    steps = [s for s in STEP_ORDER if s in PATH_FAMILIES[family]]
+
+def _walk_paths(family: str, n: int, q: int):
+    """Depth-first walk over the family's paths with an explicit stack.
+
+    Each coordinate sum ``total`` has a precomputed list of options
+    (entry, total after the entry); the first step has its own list,
+    since the tilde families restrict it.
+    """
+    if n < 1:
+        return
     if family == "inv_tilde":
         targets = {t for t in (n - 1, n - 2) if t >= 1}
-        top = max(targets, default=0)
     else:
         targets = {n - 1}
-        top = n - 1
+    top = max(targets, default=0)
+    if 0 in targets:
+        yield LabeledLatticePath(q, ())  # the empty path, for families that allow n = 1
+    rows, _ = _step_table(q)
+    steps = [s for s in STEP_ORDER if s in PATH_FAMILIES[family]]
 
-    def rec(acc, total):
-        if total in targets and (family != "inv_tilde" or acc):
-            yield LabeledLatticePath(q, tuple(acc))
-        if total >= top:
-            return
-        first = not acc
+    def options(total: int, first: bool) -> list:
+        out = []
         for step in steps:
             if first and family == "heis_tilde" and step == (0, 2):
                 continue
             if first and family == "inv_tilde" and step != (0, 1):
                 continue
-            adv = step[0] + step[1]
-            if total + adv > top:
-                continue
-            for labels in product(range(1, q), repeat=step[1]):
-                acc.append((step, labels))
-                yield from rec(acc, total + adv)
-                acc.pop()
+            after = total + step[0] + step[1]
+            if after <= top:
+                out.extend((entry, after) for entry in rows[step])
+        return out
 
-    if n >= 1 and 0 in targets:
-        # the empty path, for families that allow n = 1
-        yield LabeledLatticePath(q, ())
-        targets.discard(0)
-    if n >= 1:
-        yield from rec([], 0)
+    later = [options(total, False) for total in range(top)]
+    hit = [total in targets for total in range(top + 1)]
+    acc, stack = [], [iter(options(0, True))]
+    while stack:
+        for entry, total in stack[-1]:
+            acc.append(entry)
+            if hit[total]:
+                yield LabeledLatticePath(q, tuple(acc))
+            if total < top:
+                stack.append(iter(later[total]))
+                break
+            acc.pop()
+        else:
+            stack.pop()
+            if acc:
+                acc.pop()
 
 
 def enumerate_partitions(n: int, q: int, filter: str = "all",
                          limit: int | None = None):
-    """Yield labeled set partitions of [n] over F_q lazily.
+    """Labeled set partitions of [n] over F_q, yielded lazily.
 
     filter selects "all", "noncrossing", "feasible" or "heis_support"
     (arcs of the form (i, i+1) or (i, i+2) only).  Streams are ordered
     lexicographically by arc position list, then by label vector.  The
-    expected stream size is checked against the size guard.
+    filter, n, the field and the expected stream size against the size
+    guard are checked when this is called, before the first partition.
     """
     if filter not in PARTITION_FILTERS:
         raise UnknownFamily(f"unknown partition filter {filter!r}")
@@ -297,7 +352,11 @@ def enumerate_partitions(n: int, q: int, filter: str = "all",
     expected = counting.poly("bell", n)(q - 1)
     if expected > bound:
         raise SpaceTooLarge(bound, expected, f"partitions of [{n}] over F_{q}")
+    return _walk_partitions(n, q, filter)
 
+
+def _walk_partitions(n: int, q: int, filter: str):
+    """The stream of enumerate_partitions, once its checks have passed."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
     def keep(chosen) -> bool:
@@ -331,11 +390,10 @@ def path_to_text(path: LabeledLatticePath) -> str:
     """Text form like "R N(1) U(2) UU(1,1)"; the empty path is "-"."""
     if not path.steps:
         return "-"
-    parts = []
-    for step, labels in path.steps:
-        name = STEP_NAMES[step]
-        parts.append(name if not labels else f"{name}({','.join(map(str, labels))})")
-    return " ".join(parts)
+    try:
+        return " ".join(map(_step_tokens(path.q).__getitem__, path.steps))
+    except (KeyError, TypeError):  # no table for q, or labels given as a list
+        return " ".join(map(_token, path.steps))
 
 
 _TOKEN = re.compile(r"^([A-Z][A-Z0-9]*)(?:\(([0-9,]+)\))?$")

@@ -358,9 +358,10 @@ def closed_form(family: str, n: int) -> IntPolynomial:
     if family == "alt_bell":
         _need(family, n, 1)
         m = n - 1
+        # k falls so that the fe rows are requested in rising order
         return _sum(poly("fe", m - k).scale(binom(m, k))
                     * _one_plus_x_pow(k - 1 if k else 0)
-                    for k in range(m + 1))
+                    for k in range(m, -1, -1))
     if family == "alt_cat":
         _need(family, n, 1)
         m = n - 1
@@ -454,7 +455,7 @@ def c_invariant_heis_count(n: int, q: int, method: str = "compositions") -> int:
     if method == "compositions":
         if 2 ** (n - 1) > space_limit():
             raise SpaceTooLarge(space_limit(), 2 ** (n - 1),
-                                f"summing over the compositions of {n}")
+                                f"summing over the compositions of {n}", limit_arg=False)
         total = 0
         # compositions of n via subsets of the n-1 gaps
         for cuts in itertools.product((0, 1), repeat=n - 1):

@@ -288,11 +288,15 @@ def upper_form(lam: Functional) -> tuple[tuple[int, ...], ...]:
 
     Deleting the first column and last row of the matrix X of lambda leaves
     a square array U with U[a][b] = X[a][b+1] (1-based: rows 1..n-1 and
-    columns 2..n of X).  Returned as a tuple of row tuples of codes.
+    columns 2..n of X).  Returned as a tuple of row tuples of codes; row a
+    is a zeros followed by the stored entries of row a + 1 of X.
     """
-    n = lam.n
-    mat = lam.matrix
-    return tuple(tuple(mat[a, b + 1] for b in range(1, n)) for a in range(1, n))
+    m, codes = lam.n - 1, lam.codes
+    rows, start = [], 0
+    for a in range(m):
+        rows.append((0,) * a + codes[start:start + m - a])
+        start += m - a
+    return tuple(rows)
 
 
 def block_decomposition(lam: Functional) -> list[tuple[tuple[int, ...], ...]]:
@@ -302,22 +306,26 @@ def block_decomposition(lam: Functional) -> list[tuple[tuple[int, ...], ...]]:
     U[i][j] = 0 whenever exactly one of i, j is <= c.  The decomposition
     cuts at every valid c, so the returned square diagonal blocks
     B_1, ..., B_l are as small as possible and their sizes sum to n-1.
+
+    U is upper triangular, so with 0-based indices a nonzero U[i][j]
+    forbids exactly the cuts i < c <= j.  One pass over the rows keeps
+    ``reach``, the largest such j so far; the cut after row c - 1 is valid
+    when reach < c.  Only the columns beyond the current reach are scanned.
     """
     u = upper_form(lam)
-    m = lam.n - 1
-    if m <= 0:
+    m = len(u)
+    if not m:
         return []
-    cuts = [0]
-    for c in range(1, m):
-        if all(u[i][j] == 0
-               for i in range(m) for j in range(m)
-               if (i < c) != (j < c)):
+    cuts, reach = [0], 0
+    for c, row in enumerate(u[:-1], start=1):
+        for j in range(m - 1, reach, -1):
+            if row[j]:
+                reach = j
+                break
+        if reach < c:
             cuts.append(c)
     cuts.append(m)
-    blocks = []
-    for a, b in zip(cuts, cuts[1:]):
-        blocks.append(tuple(tuple(u[i][j] for j in range(a, b)) for i in range(a, b)))
-    return blocks
+    return [tuple(row[a:b] for row in u[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 # ------------------------------------------------- linear algebra over F_q

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heischar import checks, cli, counting
+from heischar import checks, cli, combinat, counting
 from heischar.checks import CheckCase
 from heischar.cli import parse_int_list, run
 from heischar.errors import DEFAULT_SPACE_LIMIT, SpaceTooLarge
@@ -169,6 +169,85 @@ def test_output_file_matches_stdout(tmp_path, capsys):
 
 
 # -------------------------------------------------------------------- verify
+def whole_body_enumerate(argv):
+    """The enumerate output as built before streaming: every item in memory,
+    one body, csv through DictWriter."""
+    args = cli._build_parser().parse_args(argv)
+    kind, efam, _ = cli.FAMILIES[args.family]
+    blocks, lines, rows = [], [], []
+    for n in parse_int_list(args.n):
+        for q in parse_int_list(args.q):
+            if kind == "paths":
+                items = [combinat.path_to_text(p)
+                         for p in combinat.enumerate_paths(efam, n, q, args.limit)]
+            else:
+                items = [combinat.partition_to_text(p)
+                         for p in combinat.enumerate_partitions(n, q, efam, args.limit)]
+            blocks.append({"family": args.family, "n": n, "q": q, "items": items})
+            lines.extend(items)
+            rows.extend({"family": args.family, "n": n, "q": q, "item": it} for it in items)
+    if args.format == "json":
+        return json.dumps(blocks[0] if len(blocks) == 1 else blocks,
+                          indent=2, sort_keys=True) + "\n"
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=("family", "n", "q", "item"),
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+@pytest.mark.parametrize("family,n,q", [
+    ("heis", "1-7", "2,3"),       # csv items such as UU(1,2) are quoted
+    ("heis_all", "6", "3"),
+    ("pell", "0-6", "2,4"),       # n = 0 gives an empty block
+    ("inv", "1-6", "3"),
+    ("partitions", "1-5", "2,3"),
+    ("feasible", "6", "2"),
+])
+def test_streamed_enumerate_matches_whole_body(family, n, q, fmt, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 7)  # many chunks even on small streams
+    argv = ["enumerate", "--family", family, "--n", n, "--q", q, "--format", fmt]
+    expected = whole_body_enumerate(argv)
+    assert invoke(capsys, *argv) == (0, expected, "")
+    target = tmp_path / "out"
+    assert invoke(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+@pytest.mark.parametrize("argv,code,message", [
+    (("--family", "heis", "--n", "3,30", "--q", "2"), 3, "path family heis_tilde(30, F_2)"),
+    (("--family", "heis", "--n", "3", "--q", "2,6"), 2, "6 is not a prime power"),
+    (("--family", "partitions", "--n", "2,12", "--q", "3"), 3, "partitions of [12] over F_3"),
+])
+def test_enumerate_checks_every_pair_before_writing(argv, code, message, fmt, tmp_path, capsys):
+    got, out, err = invoke(capsys, "enumerate", *argv, "--format", fmt)
+    assert (got, out) == (code, "")
+    assert message in err
+    target = tmp_path / "out"
+    got, out, _ = invoke(capsys, "enumerate", *argv, "--format", fmt, "--output", str(target))
+    assert (got, out) == (code, "")
+    assert not target.exists()
+
+
+def test_size_guard_hint_names_only_what_applies(capsys, monkeypatch):
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    # the call takes a limit (--limit here): both ways are named, the variable first
+    _, _, err = invoke(capsys, "enumerate", "--family", "pell", "--n", "30", "--q", "2")
+    assert err.endswith("; set HEISCHAR_SPACE_LIMIT or raise the limit argument\n")
+    # --limit does not reach the --n/--q lists or the compositions route
+    for argv in (("count", "--family", "heis", "--n", "1-20000000", "--q", "2"),
+                 ("verify", "c-heis-thm", "--n", "27", "--q", "2", "--limit", "100000000")):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 3
+        assert err.endswith("; set HEISCHAR_SPACE_LIMIT to raise it\n")
+        assert "limit argument" not in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = invoke(capsys, "verify", "tech-lem1", "--n", "1", "--q", "2")
     assert code == 0
@@ -316,16 +395,42 @@ _int_lists = st.one_of(
     st.tuples(_values, _values).map(lambda ab: f"{ab[0]}-{ab[1]}"),
     st.lists(_values, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
 )
+# enumerate and map at small sizes: indices and field orders from -2 to 9
+# (a --limit of at most 3000 keeps every stream short), and map inputs
+# built from valid and invalid path tokens, functional codes and arcs.
+_small_lists = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.tuples(st.integers(-2, 9), st.integers(-2, 9)).map(lambda ab: f"{ab[0]}-{ab[1]}"),
+    st.lists(st.integers(-2, 9), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+)
+_path_texts = st.lists(st.sampled_from(
+    ("R", "N(1)", "N(2)", "U(1)", "U(3)", "UU(1,2)", "UU(1)", "D21(1)", "D12(1,1)",
+     "U(0)", "Z", "-")), max_size=5).map(" ".join)
+_functional_texts = st.tuples(st.integers(-2, 6), st.integers(-1, 9),
+                              st.lists(st.integers(-1, 9), max_size=16)).map(
+    lambda t: " ".join(map(str, (t[0], t[1], *t[2]))))
+_partition_texts = st.one_of(st.just("(no arcs)"), st.lists(
+    st.tuples(st.integers(-1, 7), st.integers(-1, 7), st.integers(-1, 4)), max_size=4).map(
+    lambda arcs: " ".join(f"arc {i}-{j}:{t}" for i, j, t in arcs)))
+_context = st.lists(st.tuples(st.sampled_from(("--n", "--q")), st.integers(-2, 9).map(str)),
+                    max_size=2).map(lambda pairs: tuple(x for pair in pairs for x in pair))
 _argvs = st.one_of(
     st.tuples(st.just("count"), st.just("--family"), st.sampled_from(sorted(cli.FAMILIES)),
               st.just("--n"), _int_lists, st.just("--q"), _int_lists),
     st.tuples(st.just("poly"), st.just("--family"), st.sampled_from(counting.FAMILIES),
               st.just("--n"), _int_lists),
     st.tuples(st.just("sequences"), st.just("--count"), _values.map(str)),
+    st.tuples(st.just("enumerate"), st.just("--family"), st.sampled_from(sorted(cli.FAMILIES)),
+              st.just("--n"), _small_lists, st.just("--q"), _small_lists,
+              st.just("--limit"), st.integers(0, 3000).map(str),
+              st.just("--format"), st.sampled_from(("text", "csv", "json"))),
+    st.tuples(st.just("map"), st.sampled_from(cli.MAP_OPS),
+              st.one_of(_path_texts, _functional_texts, _partition_texts),
+              _context).map(lambda t: (*t[:3], *t[3])),
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_argvs)
 def test_exit_code_contract(argv):
     sink = io.StringIO()

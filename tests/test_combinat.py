@@ -1,5 +1,7 @@
 """Labeled set partitions, labeled lattice paths and their streams."""
 
+import itertools
+
 import pytest
 
 from heischar import combinat, counting, gf, linalg
@@ -209,6 +211,91 @@ def test_path_stream_order_and_count(family, poly_name, n, q):
         assert all(s in combinat.PATH_FAMILIES[family] for s, _ in path.steps)
 
 
+def reference_paths(family, n, q):
+    """The recursive enumerator the stack walk replaced, kept as a reference."""
+    steps = [s for s in combinat.STEP_ORDER if s in combinat.PATH_FAMILIES[family]]
+    if family == "inv_tilde":
+        targets = {t for t in (n - 1, n - 2) if t >= 1}
+        top = max(targets, default=0)
+    else:
+        targets = {n - 1}
+        top = n - 1
+
+    def rec(acc, total):
+        if total in targets and (family != "inv_tilde" or acc):
+            yield tuple(acc)
+        if total >= top:
+            return
+        first = not acc
+        for step in steps:
+            if first and family == "heis_tilde" and step == (0, 2):
+                continue
+            if first and family == "inv_tilde" and step != (0, 1):
+                continue
+            adv = step[0] + step[1]
+            if total + adv > top:
+                continue
+            for labels in itertools.product(range(1, q), repeat=step[1]):
+                acc.append((step, labels))
+                yield from rec(acc, total + adv)
+                acc.pop()
+
+    if n >= 1 and 0 in targets:
+        yield ()
+        targets.discard(0)
+    if n >= 1:
+        yield from rec([], 0)
+
+
+@pytest.mark.parametrize("family", sorted(combinat.PATH_FAMILIES))
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_path_stream_matches_recursive_reference(family, q):
+    for n in range(0, 8):
+        assert [p.steps for p in enumerate_paths(family, n, q)] \
+            == list(reference_paths(family, n, q)), (family, n, q)
+
+
+def test_enumerators_check_when_called():
+    """Guards run at the call, before the first next()."""
+    with pytest.raises(UnknownFamily):
+        enumerate_paths("dyck", 4, 2)
+    with pytest.raises(ValueError, match="prime power"):
+        enumerate_paths("pell", 4, 6)
+    with pytest.raises(SpaceTooLarge):
+        enumerate_paths("heis_tilde", 5, 2, limit=10)
+    with pytest.raises(UnknownFamily):
+        enumerate_partitions(4, 2, "nonnesting")
+    with pytest.raises(ValueError):
+        enumerate_partitions(-1, 2, "all")
+    with pytest.raises(ValueError, match="prime power"):
+        enumerate_partitions(3, 6, "all")
+    with pytest.raises(SpaceTooLarge):
+        enumerate_partitions(3, 2, "all", limit=1)
+
+
+@pytest.mark.parametrize("q", (2, 5, 37))
+def test_path_validation_messages(q):
+    """The table's fast check falls back to the full loop on a miss, so the
+    exception types and messages are those of the loop, at every q."""
+    cases = [
+        ((((3, 3), ()),), "unknown step (3, 3)"),
+        ((((0, 2), (1,)),), "step (0, 2) needs 2 labels, got 1"),
+        ((((1, 0), ()), ((0, 1), (q,))), f"label {q} is not a nonzero code of F_{q}"),
+        ((((1, 1), (0,)),), f"label 0 is not a nonzero code of F_{q}"),
+    ]
+    for steps, message in cases:
+        with pytest.raises(ValueError) as info:
+            LabeledLatticePath(q, steps)
+        assert str(info.value) == message
+    with pytest.raises(TypeError):
+        LabeledLatticePath(q, (([0, 1], (1,)),))  # a list is not a step
+
+
+def test_path_validation_accepts_list_labels():
+    path = LabeledLatticePath(3, (((0, 2), [2, 1]), ((1, 0), [])))
+    assert path_to_text(path) == "UU(2,1) R"
+
+
 # ------------------------------------------------------------- serialization
 def test_path_text_pinned():
     assert path_to_text(LabeledLatticePath(2, ())) == "-"
@@ -242,6 +329,29 @@ def test_path_text_round_trip(family):
     for q in (2, 3):
         for path in enumerate_paths(family, 5, q):
             assert path_from_text(path_to_text(path), q) == path
+
+
+@pytest.mark.parametrize("q", (4, 5))
+@pytest.mark.parametrize("family", sorted(combinat.PATH_FAMILIES))
+def test_path_text_round_trip_larger_fields(family, q):
+    def reference_text(path):
+        return " ".join(combinat.STEP_NAMES[s] + (f"({','.join(map(str, ls))})" if ls else "")
+                        for s, ls in path.steps) or "-"
+
+    for n in range(1, 6):
+        for path in enumerate_paths(family, n, q):
+            text = path_to_text(path)
+            assert text == reference_text(path)
+            assert path_from_text(text, q) == path
+
+
+def test_path_text_beyond_the_token_table():
+    assert combinat._step_tokens(256) == {}  # single paths never build the big table
+    path = path_from_text("R UU(255,1) N(17) U(3)", 256)
+    assert path.steps[1] == ((0, 2), (255, 1))
+    assert path_to_text(path) == "R UU(255,1) N(17) U(3)"
+    with pytest.raises(ValueError, match="label 256 is not a nonzero code of F_256"):
+        path_from_text("U(256)", 256)
 
 
 def test_partition_text_round_trip():

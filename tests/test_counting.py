@@ -328,6 +328,21 @@ def test_alt_bell_alternate_form():
         assert poly("alt_bell", n + 1) == total
 
 
+def test_closed_form_alt_bell_builds_each_fe_row_once(monkeypatch):
+    """closed_form("alt_bell") asks for the fe rows in rising order, so the
+    associated-Stirling table never rebuilds a row from row 0."""
+    builds = []
+
+    def counted(n, rows):
+        builds.append(n)
+        return counting._assoc_stirling_row(n, rows)
+
+    monkeypatch.setattr(counting, "_ASSOC_STIRLING", counting._ForwardTable(counted, keep=2))
+    poly.cache_clear()
+    assert closed_form("alt_bell", 121) == poly("alt_bell", 121)
+    assert sorted(builds) == list(range(1, 121))
+
+
 def test_palindromic_families():
     for n in range(1, 13):
         for family in ("cat", "del", "alt_cat", "alt_del"):

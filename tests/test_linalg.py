@@ -219,6 +219,57 @@ def test_block_decomposition_reassembles_upper_form():
                            for a in range(cut) for b in range(cut, m))
 
 
+def reference_upper_form(lam):
+    """Entry by entry through StrictUpperMatrix.__getitem__."""
+    n, mat = lam.n, lam.matrix
+    return tuple(tuple(mat[a, b + 1] for b in range(1, n)) for a in range(1, n))
+
+
+def reference_block_decomposition(lam):
+    """Every cut tested against all m^2 entries of the upper form."""
+    u = reference_upper_form(lam)
+    m = lam.n - 1
+    if m <= 0:
+        return []
+    cuts = [0]
+    for c in range(1, m):
+        if all(u[i][j] == 0
+               for i in range(m) for j in range(m)
+               if (i < c) != (j < c)):
+            cuts.append(c)
+    cuts.append(m)
+    return [tuple(tuple(u[i][j] for j in range(a, b)) for i in range(a, b))
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def sparse_functional(rng, n, q):
+    """A random functional whose density varies, so that blocks of every
+    size occur."""
+    field = gf.field_make(q)
+    density = rng.choice((0.05, 0.15, 0.3, 0.6, 1.0))
+    codes = tuple(rng.randrange(1, q) if rng.random() < density else 0
+                  for _ in range(n * (n - 1) // 2))
+    return linalg.Functional.from_codes(n, field, codes)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 3), (3, 2), (4, 3), (5, 2)])
+def test_block_decomposition_matches_all_pairs_rule_exhaustively(n, q):
+    field = gf.field_make(q)
+    for codes in itertools.product(range(q), repeat=n * (n - 1) // 2):
+        lam = linalg.Functional.from_codes(n, field, codes)
+        assert linalg.upper_form(lam) == reference_upper_form(lam)
+        assert linalg.block_decomposition(lam) == reference_block_decomposition(lam)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_block_decomposition_matches_all_pairs_rule_sampled(q):
+    rng = random.Random(100 + q)
+    for _ in range(150):
+        lam = sparse_functional(rng, rng.randrange(1, 10), q)
+        assert linalg.upper_form(lam) == reference_upper_form(lam)
+        assert linalg.block_decomposition(lam) == reference_block_decomposition(lam)
+
+
 def test_row_reduce_and_null_space():
     rows = [[1, 1, 0], [1, 1, 0], [0, 1, 1]]
     reduced = linalg.row_reduce(rows, F2)
