@@ -30,6 +30,7 @@ import json
 import re
 import sys
 from dataclasses import asdict
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -171,12 +172,11 @@ def _cmd_enumerate(args) -> int:
     # every family, field and size check runs here, before the first byte
     if kind == "paths":
         to_text = combinat.path_to_text
-        streams = [(n, q, combinat.enumerate_paths(efam, n, q, args.limit))
-                   for n in parse_int_list(args.n) for q in qs]
+        walk = partial(combinat.enumerate_paths, efam, limit=args.limit)
     else:
         to_text = combinat.partition_to_text
-        streams = [(n, q, combinat.enumerate_partitions(n, q, efam, args.limit))
-                   for n in parse_int_list(args.n) for q in qs]
+        walk = partial(combinat.enumerate_partitions, filter=efam, limit=args.limit)
+    streams = [(n, q, walk(n, q)) for n in parse_int_list(args.n) for q in qs]
     if args.format == "json":
         blocks = [{"family": args.family, "n": n, "q": q, "items": list(map(to_text, items))}
                   for n, q, items in streams]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import counting
@@ -55,35 +54,48 @@ def _check_labels(q: int, labels) -> None:
             raise ValueError(f"label {t} is not a nonzero code of F_{q}")
 
 
+def _label_text(t) -> str:
+    """A label's text: the integer it equals, if any, so that True and 2.0
+    print as 1 and 2, like the integer entries of the token map."""
+    try:
+        if t == int(t):
+            return str(int(t))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return str(t)
+
+
 def _token(entry) -> str:
     """The text token of one labelled step, like "R" or "UU(2,1)"."""
     step, labels = entry
     name = STEP_NAMES[step]
-    return name if not labels else f"{name}({','.join(map(str, labels))})"
+    return name if not labels else f"{name}({','.join(map(_label_text, labels))})"
 
 
-@lru_cache(maxsize=None)
-def _step_table(q: int) -> tuple[dict, dict]:
-    """The labelled steps over F_q as (rows, tokens): rows maps each step to
-    its (step, labels) entries in enumeration order (labels lexicographic),
-    tokens maps each entry to its text token; its keys are exactly the
-    valid entries."""
-    rows = {step: tuple((step, labels) for labels in product(range(1, q), repeat=step[1]))
-            for step in STEP_ORDER}
-    return rows, {entry: _token(entry) for row in rows.values() for entry in row}
+# q -> {entry: text token} for the valid (step, labels) entries over F_q
+# that paths have been built from so far; filled by _validate_steps.
+_TOKENS: dict = {}
 
 
-# Single paths look their steps up in the table only over fields this small:
-# at q = 256 the table has 130,816 entries (about 30 MiB, 0.3 s to build).
-_TOKEN_TABLE_MAX_Q = 32
-
-
-@lru_cache(maxsize=None)
-def _step_tokens(q) -> dict:
-    """The token map of q's step table, or {} when q is not a small order."""
-    if isinstance(q, int) and 1 < q <= _TOKEN_TABLE_MAX_Q:
-        return _step_table(q)[1]
-    return {}
+def _validate_steps(q, steps) -> None:
+    """Raise ValueError at the first entry of steps that is not a labelled
+    step over F_q.  Entries found valid with integer labels join q's token
+    map, so later paths built from them pass on lookups alone."""
+    tokens = _TOKENS.setdefault(q, {}) if type(q) is int else {}
+    try:
+        if all(map(tokens.__contains__, steps)):
+            return
+    except TypeError:  # something unhashable, e.g. labels given as a list
+        pass
+    for entry in steps:
+        step, labels = entry
+        if step not in STEP_NAMES:
+            raise ValueError(f"unknown step {step}")
+        if len(labels) != step[1]:
+            raise ValueError(f"step {step} needs {step[1]} labels, got {len(labels)}")
+        _check_labels(q, labels)
+        if type(labels) is tuple and all(type(t) is int for t in labels):
+            tokens[entry] = _token(entry)
 
 
 @dataclass(frozen=True)
@@ -222,17 +234,7 @@ class LabeledLatticePath:
     steps: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
 
     def __post_init__(self):
-        try:
-            if all(map(_step_tokens(self.q).__contains__, self.steps)):
-                return
-        except TypeError:  # something unhashable, e.g. labels given as a list
-            pass
-        for step, labels in self.steps:
-            if step not in STEP_NAMES:
-                raise ValueError(f"unknown step {step}")
-            if len(labels) != step[1]:
-                raise ValueError(f"step {step} needs {step[1]} labels, got {len(labels)}")
-            _check_labels(self.q, labels)
+        _validate_steps(self.q, self.steps)
 
     @property
     def endpoint(self) -> tuple[int, int]:
@@ -300,19 +302,20 @@ def _walk_paths(family: str, n: int, q: int):
     top = max(targets, default=0)
     if 0 in targets:
         yield LabeledLatticePath(q, ())  # the empty path, for families that allow n = 1
-    rows, _ = _step_table(q)
-    steps = [s for s in STEP_ORDER if s in PATH_FAMILIES[family]]
+    rows = {step: [(step, labels) for labels in product(range(1, q), repeat=step[1])]
+            for step in STEP_ORDER
+            if step in PATH_FAMILIES[family] and step[0] + step[1] <= top}
 
     def options(total: int, first: bool) -> list:
         out = []
-        for step in steps:
+        for step, row in rows.items():
             if first and family == "heis_tilde" and step == (0, 2):
                 continue
             if first and family == "inv_tilde" and step != (0, 1):
                 continue
             after = total + step[0] + step[1]
             if after <= top:
-                out.extend((entry, after) for entry in rows[step])
+                out.extend((entry, after) for entry in row)
         return out
 
     later = [options(total, False) for total in range(top)]
@@ -391,8 +394,8 @@ def path_to_text(path: LabeledLatticePath) -> str:
     if not path.steps:
         return "-"
     try:
-        return " ".join(map(_step_tokens(path.q).__getitem__, path.steps))
-    except (KeyError, TypeError):  # no table for q, or labels given as a list
+        return " ".join(map(_TOKENS[path.q].__getitem__, path.steps))
+    except (KeyError, TypeError):  # an entry with non-integer or list labels
         return " ".join(map(_token, path.steps))
 
 

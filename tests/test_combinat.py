@@ -275,8 +275,8 @@ def test_enumerators_check_when_called():
 
 @pytest.mark.parametrize("q", (2, 5, 37))
 def test_path_validation_messages(q):
-    """The table's fast check falls back to the full loop on a miss, so the
-    exception types and messages are those of the loop, at every q."""
+    """The token map's fast check falls back to the full loop on a miss, so
+    the exception types and messages are those of the loop, at every q."""
     cases = [
         ((((3, 3), ()),), "unknown step (3, 3)"),
         ((((0, 2), (1,)),), "step (0, 2) needs 2 labels, got 1"),
@@ -345,13 +345,32 @@ def test_path_text_round_trip_larger_fields(family, q):
             assert path_from_text(text, q) == path
 
 
-def test_path_text_beyond_the_token_table():
-    assert combinat._step_tokens(256) == {}  # single paths never build the big table
+def test_path_text_at_the_largest_field():
     path = path_from_text("R UU(255,1) N(17) U(3)", 256)
     assert path.steps[1] == ((0, 2), (255, 1))
     assert path_to_text(path) == "R UU(255,1) N(17) U(3)"
     with pytest.raises(ValueError, match="label 256 is not a nonzero code of F_256"):
         path_from_text("U(256)", 256)
+
+
+def test_token_map_holds_only_the_entries_used():
+    combinat._TOKENS.pop(256, None)
+    paths = list(enumerate_paths("heis", 2, 256))
+    assert len(paths) == 256  # R and the 255 labelled U steps; UU overshoots
+    assert set(combinat._TOKENS[256]) == {entry for path in paths for entry in path.steps}
+    assert combinat._TOKENS[256][((0, 1), (255,))] == "U(255)"
+
+
+def test_token_map_keeps_integer_labels_only():
+    """Labels equal to integers but of another type validate as before and
+    print as those integers whether or not the map has seen them."""
+    odd_steps = (((1, 1), (2.0,)), ((0, 1), (True,)), ((0, 1), (2.5,)))
+    combinat._TOKENS.pop(7, None)
+    assert path_to_text(LabeledLatticePath(7, odd_steps)) == "N(2) U(1) U(2.5)"
+    assert combinat._TOKENS[7] == {}
+    assert path_to_text(LabeledLatticePath(7, (((1, 1), (2,)),))) == "N(2)"
+    assert path_to_text(LabeledLatticePath(7, odd_steps)) == "N(2) U(1) U(2.5)"
+    assert set(combinat._TOKENS[7]) == {((1, 1), (2,))}
 
 
 def test_partition_text_round_trip():
