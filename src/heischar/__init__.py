@@ -19,7 +19,6 @@ Everything is exact; there is no floating point anywhere.
 
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
     NonIntegralDivision,
     NotAPartition,
     NotClassX,
@@ -101,7 +100,6 @@ __all__ = [
     "CHECKS",
     "CheckCase",
     "DimensionMismatch",
-    "FieldMismatch",
     "FieldSpec",
     "Functional",
     "IntPolynomial",

@@ -111,6 +111,8 @@ class LabeledSetPartition:
     arcs: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"size {self.n} is negative")
         seen_src, seen_tgt = set(), set()
         for i, j, t in self.arcs:
             if not 1 <= i < j <= self.n:

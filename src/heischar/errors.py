@@ -14,10 +14,6 @@ class TooLarge(ValueError):
     """Raised when a field order exceeds the supported maximum."""
 
 
-class FieldMismatch(ValueError):
-    """Raised when elements of different fields are combined."""
-
-
 class ZeroInverse(ZeroDivisionError):
     """Raised when inverting the zero element of a field."""
 

@@ -9,10 +9,9 @@ thing in every run.  All operations are table lookups after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FieldMismatch, NotPrimePower, TooLarge, ZeroInverse
+from .errors import NotPrimePower, TooLarge, ZeroInverse
 
 MAX_ORDER = 256
 
@@ -135,62 +134,6 @@ class FieldSpec:
             raise ZeroInverse(f"0 has no inverse in F_{self.q}")
         return self.inv_table[a]
 
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for F_{self.q}")
-        return FieldElement(self, code)
-
-    def elements(self):
-        return [FieldElement(self, c) for c in range(self.q)]
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a finite field, identified by its code."""
-
-    field: FieldSpec
-    code: int
-
-    def _coerce(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field.q != self.field.q:
-            raise FieldMismatch(f"F_{self.field.q} vs F_{other.field.q}")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.add_code(self.code, other.code))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.sub_code(self.code, other.code))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_code(self.code, other.code))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_code(self.code, self.field.inv_code(other.code)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_code(self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"F{self.field.q}({self.code})"
-
 
 @lru_cache(maxsize=None)
 def field_make(q: int) -> FieldSpec:
@@ -246,18 +189,3 @@ def field_make(q: int) -> FieldSpec:
     for a in range(1, q):
         inv[a] = mul[a].index(1)
     return FieldSpec(q, p, k, tuple(add_rows), mul, tuple(inv))
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field addition; raises FieldMismatch across different fields."""
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field multiplication; raises FieldMismatch across different fields."""
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroInverse on the zero element."""
-    return FieldElement(a.field, a.field.inv_code(a.code))

@@ -58,6 +58,8 @@ class StrictUpperMatrix:
     codes: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise DimensionMismatch(f"size {self.n} is negative")
         if len(self.codes) != self.n * (self.n - 1) // 2:
             raise DimensionMismatch(
                 f"expected {self.n * (self.n - 1) // 2} entries, got {len(self.codes)}")
@@ -72,7 +74,7 @@ class StrictUpperMatrix:
         idx = _position_index(n)
         codes = [0] * (n * (n - 1) // 2)
         for ij, c in entries.items():
-            codes[idx[ij]] = c % field.q if isinstance(c, int) else c.code
+            codes[idx[ij]] = c % field.q
         return cls(n, field, tuple(codes))
 
     @classmethod

@@ -5,8 +5,8 @@ rest of the package produces by formula or bijection: orbits of
 functionals under the one-sided, two-sided and coadjoint actions of
 U_n(F_q), the l/s subalgebra chains attached to a functional and the
 degree/irreducibility statistics they carry, conjugacy classes of the
-group and of its quotient by 1 + n^3, and the analogous censuses for
-the alternating subgroup ker(sigma).  The point is independence: these
+quotient of U_n by 1 + n^3, and the analogous censuses for the
+alternating subgroup ker(sigma).  The point is independence: these
 routines know nothing about counting polynomials or lattice paths, so
 agreement with them is evidence, not circularity.
 
@@ -16,24 +16,27 @@ is compiled once into a sparse move, a tuple of (destination, source,
 coefficient) triples, and one kernel applies them all: for the
 superdiagonal generators 1 + t e_{i,i+1} of U_n the triples come
 straight from the row or column the action touches, and for arbitrary
-generators (needed for the alternating subgroup) from the off-diagonal
-entries of their action matrices.  The l/s chains never multiply
-matrices: lam(XY) is a bilinear form in X and Y, kept as the sparse list
-of its nonzero entries.  Censuses sweep seeds in lexicographic order, so
-every reported representative is the least element of its orbit.
+generators (needed for the alternating subgroup and for conjugation)
+from the off-diagonal entries of their action matrices.  The quotient
+by 1 + n^3 has no element type of its own: 1 + n^3 is normal, so
+conjugation there is X -> g X g^{-1} in U_n read on the first two
+superdiagonals.  The l/s chains never multiply matrices: lam(XY) is a
+bilinear form in X and Y, kept as the sparse list of its nonzero
+entries.  Every census is one sweep (``_sweep``) over seeds in
+lexicographic order, so every reported representative is the least
+element of its orbit.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .errors import SpaceTooLarge, UnknownFamily, space_limit
 from .gf import FieldSpec, field_make
 from .linalg import (Functional, StrictUpperMatrix, UnitriangularElement,
-                     _position_index, gamma, group_inv, group_mul, null_space,
-                     row_reduce, triangle_positions)
+                     _position_index, gamma, group_inv, null_space, row_reduce,
+                     triangle_positions)
 
 HEISENBERG_METHODS = ("quotient_classes", "xi_census")
 C_INVARIANT_KINDS = ("supercharacters", "irreducible_supercharacters",
@@ -127,59 +130,6 @@ class SupercharacterCounts:
     heisenberg_supercharacters: int
 
 
-@dataclass(frozen=True)
-class TruncatedElement:
-    """An element of U_n modulo 1 + n^3, kept as its first and second
-    superdiagonals (tuples of field codes of lengths n-1 and n-2).
-
-    The product law follows from multiplying 1 + A and 1 + B and
-    discarding everything past the second superdiagonal:
-
-        (a b).d1[i] = a.d1[i] + b.d1[i]
-        (a b).d2[i] = a.d2[i] + b.d2[i] + a.d1[i] * b.d1[i+1]
-    """
-
-    n: int
-    field: FieldSpec
-    d1: tuple[int, ...]
-    d2: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.d1) != max(self.n - 1, 0) or len(self.d2) != max(self.n - 2, 0):
-            raise ValueError("superdiagonal lengths do not match n")
-
-    @classmethod
-    def one(cls, n: int, field: FieldSpec) -> "TruncatedElement":
-        return cls(n, field, (0,) * max(n - 1, 0), (0,) * max(n - 2, 0))
-
-    @classmethod
-    def from_element(cls, g: UnitriangularElement) -> "TruncatedElement":
-        d1 = tuple(g.entry(i, i + 1) for i in range(1, g.n))
-        d2 = tuple(g.entry(i, i + 2) for i in range(1, g.n - 1))
-        return cls(g.n, g.field, d1, d2)
-
-    def mul(self, other: "TruncatedElement") -> "TruncatedElement":
-        f = self.field
-        d1 = tuple(f.add_code(a, b) for a, b in zip(self.d1, other.d1))
-        d2 = tuple(f.add_code(f.add_code(a, b), f.mul_code(self.d1[i], other.d1[i + 1]))
-                   for i, (a, b) in enumerate(zip(self.d2, other.d2)))
-        return TruncatedElement(self.n, f, d1, d2)
-
-    def inverse(self) -> "TruncatedElement":
-        f = self.field
-        d1 = tuple(f.neg_code(a) for a in self.d1)
-        d2 = tuple(f.add_code(f.neg_code(a), f.mul_code(self.d1[i], self.d1[i + 1]))
-                   for i, a in enumerate(self.d2))
-        return TruncatedElement(self.n, f, d1, d2)
-
-    def sigma(self) -> int:
-        f = self.field
-        acc = 0
-        for a in self.d1:
-            acc = f.add_code(acc, a)
-        return acc
-
-
 # ------------------------------------------------------------ generator moves
 def _sparse_moves(n: int, field: FieldSpec, mode: str):
     """The generator moves of one action, one move per (c, t).
@@ -206,18 +156,37 @@ def _sparse_moves(n: int, field: FieldSpec, mode: str):
     return moves
 
 
-def _element_move(g: UnitriangularElement, mode: str):
-    """The move of an arbitrary group element under the left or right
-    action: (g acting on lam)[d] = sum_s T[d][s] lam[s], where row d of T
-    holds the codes of g^{-1} e_d (left) or e_d g^{-1} (right).  T is
+def _element_move(g: UnitriangularElement, mode: str, positions=None):
+    """The move of an arbitrary group element.
+
+    "left" and "right" act on functionals: (g acting on lam)[d] =
+    sum_s T[d][s] lam[s], where row d of T holds the codes of g^{-1} e_d
+    (left) or e_d g^{-1} (right).  "conjugate" acts on matrices:
+    (g X g^{-1})[d] = sum_s T[d][s] X[s], where column s of T holds the
+    codes of g e_s g^{-1}.  positions (default: the whole triangle)
+    lists the coordinates the move reads and writes, in order; the
+    d1-then-d2 positions give conjugation modulo the ideal n^3.  T is
     unitriangular, so only its off-diagonal entries become triples."""
     n, field = g.n, g.field
     ginv = group_inv(g)
-    times = ginv.mul_matrix_left if mode == "left" else ginv.mul_matrix_right
-    rows = [times(StrictUpperMatrix.basis_element(n, field, i, j)).codes
-            for i, j in triangle_positions(n)]
-    return tuple((d, s, c) for d, row in enumerate(rows)
-                 for s, c in enumerate(row) if c and s != d)
+    if positions is None:
+        positions = triangle_positions(n)
+    idx = _position_index(n)
+    cols = [idx[ij] for ij in positions]
+    images = []
+    for i, j in positions:
+        e = StrictUpperMatrix.basis_element(n, field, i, j)
+        if mode == "left":
+            images.append(ginv.mul_matrix_left(e).codes)
+        elif mode == "right":
+            images.append(ginv.mul_matrix_right(e).codes)
+        else:
+            images.append(g.mul_matrix_left(ginv.mul_matrix_right(e)).codes)
+    triples = [(a, b, image[col]) for a, image in enumerate(images)
+               for b, col in enumerate(cols) if image[col] and a != b]
+    if mode == "conjugate":
+        return tuple((b, a, c) for a, b, c in triples)
+    return tuple(triples)
 
 
 def _apply(codes: tuple[int, ...], move, add, mul) -> tuple[int, ...]:
@@ -254,6 +223,25 @@ def _stepper(moves, field: FieldSpec):
     add, mul = field.add_table, field.mul_table
     moves = [move for move in moves if move]
     return lambda codes: [_apply(codes, move, add, mul) for move in moves]
+
+
+def _sweep(seeds, step, bound: int, what: str):
+    """Yield (seed, orbit) for every seed outside the orbits found so
+    far; with seeds in lexicographic order, each yielded seed is the
+    least element of its orbit."""
+    seen = set()
+    for seed in seeds:
+        if seed not in seen:
+            orb = _bfs(seed, step, bound, what)
+            seen |= orb
+            yield seed, orb
+
+
+def _seeds(npos: int, free, q: int):
+    """Every code tuple of length npos that is zero off the positions
+    free, in lexicographic order."""
+    free = set(free)
+    return product(*(range(q) if a in free else (0,) for a in range(npos)))
 
 
 def orbit(lam: Functional, mode: str, limit: int | None = None) -> set[Functional]:
@@ -347,94 +335,11 @@ def xi_stats(lam: Functional) -> XiStats:
 
 
 # ------------------------------------------------------------------- censuses
-def _kills_n3(codes, n: int) -> bool:
-    return all(v == 0 for v, (i, j) in zip(codes, triangle_positions(n))
-               if j - i >= 3)
-
-
 def _translate(codes, t: int, direction, field: FieldSpec) -> tuple[int, ...]:
     return tuple(field.add_code(v, field.mul_code(t, g))
                  for v, g in zip(codes, direction))
 
 
-@dataclass(frozen=True)
-class _FunctionalOrbit:
-    rep: tuple[int, ...]
-    size: int
-    irreducible: bool
-    kills_n3: bool
-    c_invariant: bool
-
-
-@lru_cache(maxsize=None)
-def _full_census(n: int, q: int, bound: int) -> tuple[_FunctionalOrbit, ...]:
-    """Two-sided orbits on n*, swept in lexicographic seed order, with
-    per-orbit irreducibility (|Glam ∩ lamG| = 1), kernel and
-    C-invariance flags."""
-    field = field_make(q)
-    npos = n * (n - 1) // 2
-    total = q ** npos
-    if total > bound:
-        raise SpaceTooLarge(bound, total, f"functional space u_{n}(F_{q})*")
-    left = _stepper(_sparse_moves(n, field, "left"), field)
-    right = _stepper(_sparse_moves(n, field, "right"), field)
-    both = _stepper(_sparse_moves(n, field, "two_sided"), field)
-    gamma_codes = gamma(n, field).codes
-
-    seen = set()
-    out = []
-    for codes in product(range(q), repeat=npos):
-        if codes in seen:
-            continue
-        two_sided = _bfs(codes, both, bound, "two-sided orbit")
-        seen |= two_sided
-        left_orbit = _bfs(codes, left, bound, "left orbit")
-        right_orbit = _bfs(codes, right, bound, "right orbit")
-        meet = left_orbit & right_orbit
-        if len(two_sided) * len(meet) != len(left_orbit) * len(right_orbit):
-            raise AssertionError("orbit size identity failed; action bug")
-        c_inv = all(_translate(codes, t, gamma_codes, field) in two_sided
-                    for t in range(1, q))
-        out.append(_FunctionalOrbit(codes, len(two_sided), len(meet) == 1,
-                                    _kills_n3(codes, n), c_inv))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _xi_census(n: int, q: int, bound: int) -> tuple[tuple[tuple[int, ...], int, XiStats, bool], ...]:
-    """Coadjoint orbits of the functionals killing n^3 (support on the
-    first two superdiagonals), each with its xi statistics and the
-    C-invariance flag lam + t gamma in the orbit for all t."""
-    field = field_make(q)
-    npos = n * (n - 1) // 2
-    seeds = q ** max(2 * n - 3, 0)
-    if seeds > bound:
-        raise SpaceTooLarge(bound, seeds, f"kernel-restricted u_{n}(F_{q})*")
-    positions = triangle_positions(n)
-    near = [a for a, (i, j) in enumerate(positions) if j - i <= 2]
-    moves = _sparse_moves(n, field, "coadjoint")
-    step = _stepper(moves, field)
-    gamma_codes = gamma(n, field).codes
-
-    seen = set()
-    out = []
-    for values in product(range(q), repeat=len(near)):
-        codes = [0] * npos
-        for a, v in zip(near, values):
-            codes[a] = v
-        codes = tuple(codes)
-        if codes in seen:
-            continue
-        orb = _bfs(codes, step, bound, "coadjoint orbit")
-        seen |= orb
-        stats = xi_stats(Functional.from_codes(n, field, codes))
-        c_inv = all(_translate(codes, t, gamma_codes, field) in orb
-                    for t in range(1, q))
-        out.append((codes, len(orb), stats, c_inv))
-    return tuple(out)
-
-
-# ------------------------------------------------- alternating subgroup (h*)
 def _h_generators(n: int, field: FieldSpec) -> list[UnitriangularElement]:
     """Generators of H = ker(sigma): the superdiagonal differences
     1 + t(e_{i,i+1} - e_{i+1,i+2}) and all higher elementaries."""
@@ -450,58 +355,88 @@ def _h_generators(n: int, field: FieldSpec) -> list[UnitriangularElement]:
     return gens
 
 
+@dataclass(frozen=True)
+class _FunctionalOrbit:
+    rep: tuple[int, ...]
+    size: int
+    irreducible: bool
+    kills_n3: bool
+    c_invariant: bool
+
+
 @lru_cache(maxsize=None)
-def _alt_census(n: int, q: int, bound: int) -> tuple[_FunctionalOrbit, ...]:
-    """Two-sided H-orbits on h* for H = ker(sigma).
+def _two_sided_census(group: str, n: int, q: int, bound: int) -> tuple[_FunctionalOrbit, ...]:
+    """Two-sided orbits of U_n on n* ("full") or of H = ker(sigma) on h*
+    ("alternating"), with per-orbit irreducibility (|G lam ∩ lam G| = 1),
+    kernel (lam kills n^3) and C-invariance flags.
 
     Functionals agree on h = ker(gamma restricted to the superdiagonal
     sum) exactly when they differ by a multiple of gamma, so h* is
     swept as the classes of n* modulo gamma, canonicalized by zeroing
-    the (1,2) coordinate.  The C-invariance flag is left False: C is
-    trivial on h."""
+    the (1,2) coordinate, position 0.  The C-invariance flag is left
+    False on h*: C is trivial on h."""
     field = field_make(q)
     npos = n * (n - 1) // 2
-    classes = q ** max(npos - 1, 0)
-    if classes > bound:
-        raise SpaceTooLarge(bound, classes, f"h* classes for U_{n}(F_{q})")
-    positions = triangle_positions(n)
-    idx12 = positions.index((1, 2)) if n >= 2 else None
+    gamma_codes = gamma(n, field).codes
+    far = [a for a, (i, j) in enumerate(triangle_positions(n)) if j - i >= 3]
+    full = group == "full"
+    free = range(npos) if full else range(1, npos)
+    size = q ** len(free)
+    if size > bound:
+        what = f"functional space u_{n}(F_{q})*" if full else f"h* classes for U_{n}(F_{q})"
+        raise SpaceTooLarge(bound, size, what)
+    if full:
+        kind = "orbit"
+        left_moves = _sparse_moves(n, field, "left")
+        right_moves = _sparse_moves(n, field, "right")
+    else:
+        kind = "H-orbit"
+        gens = _h_generators(n, field)
+        left_moves = [_element_move(g, "left") for g in gens]
+        right_moves = [_element_move(g, "right") for g in gens]
     add, mul = field.add_table, field.mul_table
-    # subtracting codes[idx12] times gamma zeroes the (1,2) coordinate
-    canon_move = tuple((a, idx12, field.neg_code(1))
-                       for a, g in enumerate(gamma(n, field).codes) if g)
-
-    def canon(codes):
-        return _apply(codes, canon_move, add, mul) if codes[idx12] else codes
-
-    gens = _h_generators(n, field)
-    left_moves = [_element_move(g, "left") for g in gens]
-    right_moves = [_element_move(g, "right") for g in gens]
+    # subtracting codes[0] times gamma zeroes the (1,2) coordinate
+    canon_move = tuple((a, 0, field.neg_code(1)) for a, g in enumerate(gamma_codes) if g)
 
     def stepper(moves):
         step = _stepper(moves, field)
-        return lambda codes: map(canon, step(codes))
+        if full:
+            return step
+        return lambda codes: [_apply(c, canon_move, add, mul) if c[0] else c
+                              for c in step(codes)]
 
     left, right = stepper(left_moves), stepper(right_moves)
     both = stepper(left_moves + right_moves)
-
-    free = [a for a in range(npos) if a != idx12]
-    seen = set()
     out = []
-    for values in product(range(q), repeat=len(free)):
-        codes = [0] * npos
-        for a, v in zip(free, values):
-            codes[a] = v
-        codes = tuple(codes)
-        if codes in seen:
-            continue
-        two_sided = _bfs(codes, both, bound, "two-sided H-orbit")
-        seen |= two_sided
-        left_orbit = _bfs(codes, left, bound, "left H-orbit")
-        right_orbit = _bfs(codes, right, bound, "right H-orbit")
-        meet = left_orbit & right_orbit
+    for codes, two_sided in _sweep(_seeds(npos, free, q), both, bound, f"two-sided {kind}"):
+        meet = (_bfs(codes, left, bound, f"left {kind}")
+                & _bfs(codes, right, bound, f"right {kind}"))
+        c_inv = full and all(
+            _translate(codes, t, gamma_codes, field) in two_sided for t in range(1, q))
         out.append(_FunctionalOrbit(codes, len(two_sided), len(meet) == 1,
-                                    _kills_n3(codes, n), False))
+                                    not any(codes[a] for a in far), c_inv))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _xi_census(n: int, q: int, bound: int) -> tuple[tuple[tuple[int, ...], int, XiStats, bool], ...]:
+    """Coadjoint orbits of the functionals killing n^3 (support on the
+    first two superdiagonals), each with its xi statistics and the
+    C-invariance flag lam + t gamma in the orbit for all t."""
+    field = field_make(q)
+    npos = n * (n - 1) // 2
+    seeds = q ** max(2 * n - 3, 0)
+    if seeds > bound:
+        raise SpaceTooLarge(bound, seeds, f"kernel-restricted u_{n}(F_{q})*")
+    near = [a for a, (i, j) in enumerate(triangle_positions(n)) if j - i <= 2]
+    step = _stepper(_sparse_moves(n, field, "coadjoint"), field)
+    gamma_codes = gamma(n, field).codes
+    out = []
+    for codes, orb in _sweep(_seeds(npos, near, q), step, bound, "coadjoint orbit"):
+        stats = xi_stats(Functional.from_codes(n, field, codes))
+        c_inv = all(_translate(codes, t, gamma_codes, field) in orb
+                    for t in range(1, q))
+        out.append((codes, len(orb), stats, c_inv))
     return tuple(out)
 
 
@@ -513,8 +448,7 @@ def count_supercharacter_families(n: int, q: int, group: str = "full",
     orbit censuses."""
     if group not in GROUPS:
         raise UnknownFamily(f"unknown group {group!r}")
-    bound = space_limit(limit)
-    census = _full_census(n, q, bound) if group == "full" else _alt_census(n, q, bound)
+    census = _two_sided_census(group, n, q, space_limit(limit))
     irr = [o for o in census if o.irreducible]
     return SupercharacterCounts(
         supercharacters=len(census),
@@ -568,7 +502,7 @@ def count_c_invariant(n: int, q: int, kind: str, limit: int | None = None) -> in
     if kind == "heisenberg_characters":
         return sum(1 for _, _, stats, c_inv in _xi_census(n, q, bound)
                    if stats.irreducible and c_inv)
-    census = _full_census(n, q, bound)
+    census = _two_sided_census("full", n, q, bound)
     if kind == "supercharacters":
         return sum(1 for o in census if o.c_invariant)
     if kind == "irreducible_supercharacters":
@@ -602,104 +536,49 @@ def tech_lem1_bruteforce(d: int, q: int, limit: int | None = None) -> int:
 
 
 # ----------------------------------------------------------- conjugacy classes
-CONJUGACY_GROUPS = ("unitriangular", "truncated", "truncated_alternating")
-
-
-def _truncated_generators(n: int, field: FieldSpec, alternating: bool):
-    gens = []
-    zero1 = (0,) * max(n - 1, 0)
-    zero2 = (0,) * max(n - 2, 0)
-    for t in range(1, field.q):
-        if not alternating:
-            for i in range(n - 1):
-                d1 = list(zero1)
-                d1[i] = t
-                gens.append(TruncatedElement(n, field, tuple(d1), zero2))
-        else:
-            for i in range(n - 2):
-                d1 = list(zero1)
-                d1[i] = t
-                d1[i + 1] = field.neg_code(t)
-                gens.append(TruncatedElement(n, field, tuple(d1), zero2))
-        for i in range(n - 2):
-            d2 = list(zero2)
-            d2[i] = t
-            gens.append(TruncatedElement(n, field, zero1, tuple(d2)))
-    return gens
+CONJUGACY_GROUPS = ("truncated", "truncated_alternating")
 
 
 def conjugacy_classes(group: str, n: int, q: int,
                       limit: int | None = None) -> OrbitCensus:
-    """Conjugacy classes of U_n(F_q), of its quotient by 1 + n^3
-    ("truncated"), or of the sigma-kernel inside that quotient
-    ("truncated_alternating"), by conjugation closure under the group's
-    generators.  Class representatives are lexicographically least."""
+    """Conjugacy classes of the quotient of U_n(F_q) by 1 + n^3
+    ("truncated") or of the image of ker(sigma) in it
+    ("truncated_alternating").
+
+    An element of the quotient is read as its first and second
+    superdiagonals, d1 then d2.  1 + n^3 is normal, so conjugation by g
+    sends 1 + X to 1 + g X g^{-1} read there, and the classes are
+    closures under the generators of U_n (the superdiagonal
+    elementaries) or of ker(sigma).  Each class comes as (least member
+    in d1-then-d2 order, size); the member is a UnitriangularElement
+    that is zero beyond the second superdiagonal."""
     if group not in CONJUGACY_GROUPS:
         raise UnknownFamily(f"unknown group {group!r}")
     field = field_make(q)
     bound = space_limit(limit)
+    alternating = group == "truncated_alternating"
+    near = [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)]
+    n1 = max(n - 1, 0)
+    size = q ** (len(near) - (1 if alternating and n1 else 0))
+    if size > bound:
+        raise SpaceTooLarge(bound, size, f"{group} group at (n,q)=({n},{q})")
+    gens = (_h_generators(n, field) if alternating else
+            [UnitriangularElement.elementary(n, field, i, i + 1, t)
+             for i in range(1, n) for t in range(1, q)])
+    step = _stepper([_element_move(g, "conjugate", near) for g in gens], field)
+    total = 0
 
-    if group == "unitriangular":
-        npos = n * (n - 1) // 2
-        total = q ** npos
-        if total > bound:
-            raise SpaceTooLarge(bound, total, f"U_{n}(F_{q})")
-        gens = [UnitriangularElement.elementary(n, field, i, i + 1, t)
-                for i in range(1, n) for t in range(1, q)]
+    def elements():
+        nonlocal total
+        for d1 in product(range(q), repeat=n1):
+            if alternating and reduce(field.add_code, d1, 0):
+                continue
+            for d2 in product(range(q), repeat=len(near) - n1):
+                total += 1
+                yield d1 + d2
 
-        def wrap(codes):
-            return UnitriangularElement.from_above(StrictUpperMatrix(n, field, codes))
-
-        def conjugate(g, codes):
-            return group_mul(group_mul(g, wrap(codes)), group_inv(g)).above.codes
-
-        elements = product(range(q), repeat=npos)
-    else:
-        alternating = group == "truncated_alternating"
-        n1, n2 = max(n - 1, 0), max(n - 2, 0)
-        npos = n1 + n2
-        total = q ** (npos - (1 if alternating and n1 else 0))
-        if total > bound:
-            raise SpaceTooLarge(bound, total, f"{group} group at (n,q)=({n},{q})")
-        gens = _truncated_generators(n, field, alternating)
-
-        def wrap(codes):
-            return TruncatedElement(n, field, codes[:n1], codes[n1:])
-
-        def conjugate(g, codes):
-            y = g.mul(wrap(codes)).mul(g.inverse())
-            return y.d1 + y.d2
-
-        def element_iter():
-            for d1 in product(range(q), repeat=n1):
-                if alternating:
-                    acc = 0
-                    for a in d1:
-                        acc = field.add_code(acc, a)
-                    if acc:
-                        continue
-                for d2 in product(range(q), repeat=n2):
-                    yield d1 + d2
-
-        elements = element_iter()
-
-    # on x = 1 + X, conjugation by g is X -> g X g^{-1}: linear in X and
-    # unitriangular, with column s of its matrix the conjugate of e_s
-    units = [tuple(int(a == s) for a in range(npos)) for s in range(npos)]
-    moves = [tuple((d, s, c) for s, e in enumerate(units)
-                   for d, c in enumerate(conjugate(g, e)) if c and d != s)
-             for g in gens]
-    step = _stepper(moves, field)
-
-    seen = set()
-    orbits = []
-    count = 0
-    for codes in elements:
-        codes = tuple(codes)
-        count += 1
-        if codes in seen:
-            continue
-        cls = _bfs(codes, step, bound, f"conjugacy class in {group}")
-        seen |= cls
-        orbits.append((wrap(codes), len(cls)))
-    return OrbitCensus("conjugacy", tuple(orbits), count)
+    orbits = tuple(
+        (UnitriangularElement.from_above(StrictUpperMatrix.from_dict(n, field, dict(zip(near, codes)))),
+         len(cls))
+        for codes, cls in _sweep(elements(), step, bound, f"conjugacy class in {group}"))
+    return OrbitCensus("conjugacy", orbits, total)

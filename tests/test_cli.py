@@ -360,6 +360,17 @@ def test_negative_index_is_named(argv, capsys):
     assert err == "error: '-1' is not an integer >= 0 or a range of them\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("map", "partition-to-functional", "(no arcs)", "--n", "-2", "--q", "2"),
+    ("map", "classify", "-1 2 0"),
+    ("map", "functional-to-path", "-2 2 0 0 0"),
+])
+def test_negative_size_exits_2(argv, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: size -") and err.endswith(" is negative\n")
+
+
 def test_huge_range_exits_3_unbuilt(capsys, monkeypatch):
     monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
     code, out, err = invoke(capsys, "count", "--family", "heis",

@@ -70,6 +70,8 @@ def test_partition_validation():
         LabeledSetPartition(4, 3, ((1, 2, 0),))
     with pytest.raises(ValueError):
         LabeledSetPartition(4, 3, ((2, 3, 1), (1, 2, 1)))  # unsorted
+    with pytest.raises(ValueError):
+        LabeledSetPartition(-2, 3, ())  # negative size
 
 
 def test_blocks_and_from_blocks():

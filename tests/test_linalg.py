@@ -110,6 +110,10 @@ def test_mixed_size_or_field_errors():
     g = linalg.UnitriangularElement.one(4, F2)
     with pytest.raises(DimensionMismatch):
         linalg.act("left", g, linalg.Functional.zero(3, F2))
+    # n(n-1)/2 entries would also fit n = -1 and n = -2
+    for n, codes in ((-1, (0,)), (-2, (0, 0, 0))):
+        with pytest.raises(DimensionMismatch):
+            linalg.StrictUpperMatrix(n, F2, codes)
 
 
 def test_action_pinned_values():

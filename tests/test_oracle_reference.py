@@ -1,7 +1,8 @@
 """Per-object cross-checks of the oracle against slow, independent
 references: orbits against closures under ``linalg.act``, compiled
 generator moves against the group actions they encode, conjugacy classes
-against conjugation by every group element, l/s chains against the
+against conjugation by every group element, the two-sided census flags
+against orbits recomputed from scratch, l/s chains against the
 matrix-product route, and the oracle's import closure."""
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import heischar
-from heischar import gf, linalg, oracle
+from heischar import checks, gf, linalg, oracle
+from heischar.errors import space_limit
 from heischar.linalg import Functional, StrictUpperMatrix, UnitriangularElement
 
 
@@ -110,36 +112,102 @@ def brute_force_classes(elements, conjugate):
 
 @pytest.mark.parametrize("group,n,q", [
     ("truncated", 4, 3), ("truncated", 5, 2), ("truncated_alternating", 4, 3),
-    ("truncated_alternating", 5, 2), ("unitriangular", 3, 3), ("unitriangular", 4, 2),
+    ("truncated_alternating", 5, 2),
 ])
 def test_conjugacy_classes_match_full_conjugation(group, n, q):
+    # quotient elements are read d1 then d2 and conjugated as full
+    # matrices of U_n; the kernel 1 + n^3 never shows in that reading
     field = gf.field_make(q)
-    if group == "unitriangular":
-        def wrap(codes):
-            return UnitriangularElement.from_above(StrictUpperMatrix(n, field, codes))
+    near = [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)]
 
-        def conjugate(g, x):
-            gm, xm = wrap(g), wrap(x)
-            return linalg.group_mul(linalg.group_mul(gm, xm), linalg.group_inv(gm)).above.codes
+    def wrap(codes):
+        return UnitriangularElement.from_above(
+            StrictUpperMatrix.from_dict(n, field, dict(zip(near, codes))))
 
-        elements = list(itertools.product(range(q), repeat=n * (n - 1) // 2))
-        reps = [(r.above.codes, size) for r, size in
-                oracle.conjugacy_classes(group, n, q).orbits]
-    else:
-        n1 = n - 1
+    def truncate(g):
+        return tuple(g.entry(i, j) for i, j in near)
 
-        def wrap(codes):
-            return oracle.TruncatedElement(n, field, codes[:n1], codes[n1:])
+    def conjugate(g, x):
+        gm = wrap(g)
+        return truncate(linalg.group_mul(linalg.group_mul(gm, wrap(x)), linalg.group_inv(gm)))
 
-        def conjugate(g, x):
-            y = wrap(g).mul(wrap(x)).mul(wrap(g).inverse())
-            return y.d1 + y.d2
+    elements = [c for c in itertools.product(range(q), repeat=len(near))
+                if group == "truncated" or not linalg.sigma(wrap(c))]
+    census = oracle.conjugacy_classes(group, n, q)
+    assert census.total == len(elements)
+    for rep, _ in census.orbits:
+        assert rep.above == wrap(truncate(rep)).above
+    assert [(truncate(r), size) for r, size in census.orbits] == \
+        brute_force_classes(elements, conjugate)
 
-        elements = [c for c in itertools.product(range(q), repeat=2 * n - 3)
-                    if group == "truncated" or not wrap(c).sigma()]
-        reps = [(r.d1 + r.d2, size) for r, size in
-                oracle.conjugacy_classes(group, n, q).orbits]
-    assert reps == brute_force_classes(elements, conjugate)
+
+# ---------------------------------------------------------- census flags
+def translate(codes, t, direction, field):
+    return tuple(field.add_code(a, field.mul_code(t, g)) for a, g in zip(codes, direction))
+
+
+def h_orbit(n, codes, field, actions):
+    """The ker(sigma)-orbit of the class of codes in h* = n* / F_q gamma:
+    the closure under linalg.act by the generators of ker(sigma), with
+    each class held by its member whose (1,2) coordinate is zero."""
+    gamma = linalg.gamma(n, field).codes
+    gens = oracle._h_generators(n, field)
+    assert all(linalg.sigma(g) == 0 for g in gens)
+
+    def canon(mu):
+        return translate(mu, field.neg_code(mu[0]), gamma, field)
+
+    start = canon(codes)
+    seen, frontier = {start}, [start]
+    while frontier:
+        new = []
+        for mu in frontier:
+            lam = Functional.from_codes(n, field, mu)
+            for g in gens:
+                for action in actions:
+                    nu = canon(linalg.act(action, g, lam).codes)
+                    if nu not in seen:
+                        seen.add(nu)
+                        new.append(nu)
+        frontier = new
+    return seen
+
+
+def assert_orbit_flags(census_orbit, two_sided, left, right, lam, c_invariant):
+    # Diaconis-Isaacs: |G lam G| |G lam ∩ lam G| = |G lam| |lam G|
+    meet = left & right
+    assert census_orbit.rep == min(two_sided)
+    assert census_orbit.size == len(two_sided)
+    assert len(two_sided) * len(meet) == len(left) * len(right)
+    assert census_orbit.irreducible == (len(meet) == 1)
+    assert census_orbit.kills_n3 == lam.kills(linalg.ideal_positions(lam.n, 3))
+    assert census_orbit.c_invariant == c_invariant
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (3, 4, 5) for q in (2, 3)])
+def test_full_census_flags_match_orbits(n, q):
+    field = gf.field_make(q)
+    gamma = linalg.gamma(n, field).codes
+    census = oracle._two_sided_census("full", n, q, space_limit())
+    assert sum(o.size for o in census) == q ** (n * (n - 1) // 2)
+    for o in census:
+        lam = Functional.from_codes(n, field, o.rep)
+        two_sided, left, right = ({mu.codes for mu in oracle.orbit(lam, mode)}
+                                  for mode in ("two_sided", "left", "right"))
+        c_invariant = all(translate(o.rep, t, gamma, field) in two_sided for t in range(1, q))
+        assert_orbit_flags(o, two_sided, left, right, lam, c_invariant)
+
+
+@pytest.mark.parametrize("n,q", list(itertools.product(*checks.DEFAULT_SWEEPS["alt-thm"])))
+def test_alternating_census_flags_match_orbits(n, q):
+    field = gf.field_make(q)
+    census = oracle._two_sided_census("alternating", n, q, space_limit())
+    assert sum(o.size for o in census) == q ** (n * (n - 1) // 2 - 1)
+    for o in census:
+        two_sided, left, right = (h_orbit(n, o.rep, field, actions) for actions in
+                                  (("left", "right"), ("left",), ("right",)))
+        assert_orbit_flags(o, two_sided, left, right, Functional.from_codes(n, field, o.rep),
+                           False)
 
 
 # ------------------------------------------------------------ l/s chains
