@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .combinat import LabeledLatticePath, LabeledSetPartition, enumerate_paths
 from .errors import NotClassX, NotInFamily
@@ -40,6 +41,8 @@ STEP_R = (1, 0)
 STEP_N = (1, 1)
 STEP_U = (0, 1)
 STEP_UU = (0, 2)
+HEIS_STEPS = frozenset((STEP_R, STEP_N, STEP_U, STEP_UU))
+PELL_STEPS = frozenset((STEP_R, STEP_N, STEP_U))
 
 CLASS_X = "class_X"
 CLASS_Y = "class_Y"
@@ -91,12 +94,17 @@ def classify_functional(lam: Functional) -> ClassXWitness:
     return ClassXWitness(classification, blocks, kinds, offending)
 
 
-def _check_steps(path: LabeledLatticePath, allowed, family: str) -> None:
-    for k, (step, _) in enumerate(path.steps):
-        if step not in allowed:
-            raise NotInFamily(f"step {k} is not a {family} step")
-    if path.steps and path.steps[0][0] == STEP_UU:
+def _check_steps(path: LabeledLatticePath, allowed: frozenset, family: str) -> list:
+    """The step kinds of the path, after checking that all of them lie
+    in allowed and that the first is not UU; the index of the first
+    offending step is looked up only when there is one."""
+    kinds = list(map(itemgetter(0), path.steps))
+    if not allowed.issuperset(kinds):
+        k = next(k for k, step in enumerate(kinds) if step not in allowed)
+        raise NotInFamily(f"step {k} is not a {family} step")
+    if kinds and kinds[0] == STEP_UU:
         raise NotInFamily(f"a {family} path cannot start with UU")
+    return kinds
 
 
 def path_to_functional(path: LabeledLatticePath,
@@ -108,7 +116,7 @@ def path_to_functional(path: LabeledLatticePath,
     t e*_{i-1,i+1} + u e*_{i,i+2} for UU(t,u).  The result lives on u_n
     for n = span + 1.
     """
-    _check_steps(path, (STEP_R, STEP_N, STEP_U, STEP_UU), "heis")
+    _check_steps(path, HEIS_STEPS, "heis")
     field = field or field_make(path.q)
     n = path.span + 1
     entries: dict[tuple[int, int], int] = {}
@@ -165,7 +173,7 @@ def pell_path_to_partition(path: LabeledLatticePath) -> LabeledSetPartition:
     crossing shapes (i, i+2), (i+1, i+3) cannot occur because an N step
     advances the coordinate sum by two.
     """
-    _check_steps(path, (STEP_R, STEP_N, STEP_U), "pell")
+    _check_steps(path, PELL_STEPS, "pell")
     arcs = []
     s = 0
     for step, labels in path.steps:
@@ -180,8 +188,8 @@ def pell_path_to_partition(path: LabeledLatticePath) -> LabeledSetPartition:
 def heis_degree_exponent(path: LabeledLatticePath) -> int:
     """log_q of the degree of the character attached to the path: the
     number of N steps plus the number of UU steps."""
-    _check_steps(path, (STEP_R, STEP_N, STEP_U, STEP_UU), "heis")
-    return sum(1 for step, _ in path.steps if step in (STEP_N, STEP_UU))
+    kinds = _check_steps(path, HEIS_STEPS, "heis")
+    return kinds.count(STEP_N) + kinds.count(STEP_UU)
 
 
 def heis_degree_histogram(n: int, q: int, limit: int | None = None) -> dict[int, int]:
@@ -247,7 +255,7 @@ def is_linear_invariant_heis_path(path: LabeledLatticePath) -> bool:
     step kinds advance the coordinate sum by two, so such paths exist
     only for odd n = 2k + 1, where they number q^{k-1} (q-1)^k.
     """
-    _check_steps(path, (STEP_R, STEP_N, STEP_U, STEP_UU), "heis")
+    _check_steps(path, HEIS_STEPS, "heis")
     return all(step in (STEP_N, STEP_UU) for step, _ in path.steps)
 
 

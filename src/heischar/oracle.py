@@ -11,18 +11,21 @@ routines know nothing about counting polynomials or lattice paths, so
 agreement with them is evidence, not circularity.
 
 Orbits are computed as breadth-first closures under group generators,
-with functionals held as dense tuples of field codes.  Every generator
-is compiled once into a sparse move, a tuple of (destination, source,
-coefficient) triples, and one kernel applies them all: for the
-superdiagonal generators 1 + t e_{i,i+1} of U_n the triples come
-straight from the row or column the action touches, and for arbitrary
-generators (needed for the alternating subgroup and for conjugation)
-from the off-diagonal entries of their action matrices.  The quotient
-by 1 + n^3 has no element type of its own: 1 + n^3 is normal, so
-conjugation there is X -> g X g^{-1} in U_n read on the first two
-superdiagonals.  The l/s chains never multiply matrices: lam(XY) is a
-bilinear form in X and Y, kept as the sparse list of its nonzero
-entries.  Every census is one sweep (``_sweep``) over seeds in
+with functionals held as dense tuples of field codes.  Each generator
+family runs over an additive F_p-basis of F_q, the codes p^j for j < k,
+not over all of F_q^x: a root subgroup {1 + t E : t in F_q} with E^2 = 0
+is (F_q, +), so the basis generates the same group and every closure is
+unchanged.  Every generator is compiled once into a sparse move, a tuple
+of (destination, source, coefficient) triples, and one kernel applies
+them all: for the superdiagonal generators 1 + t e_{i,i+1} of U_n the
+triples come straight from the row or column the action touches, and
+for arbitrary generators (needed for the alternating subgroup and for
+conjugation) from the off-diagonal entries of their action matrices.
+The quotient by 1 + n^3 has no element type of its own: 1 + n^3 is
+normal, so conjugation there is X -> g X g^{-1} in U_n read on the
+first two superdiagonals.  The l/s chains never multiply matrices:
+lam(XY) is a bilinear form in X and Y, kept as the sparse list of its
+nonzero entries.  Every census is one sweep (``_sweep``) over seeds in
 lexicographic order, so every reported representative is the least
 element of its orbit.
 """
@@ -131,8 +134,16 @@ class SupercharacterCounts:
 
 
 # ------------------------------------------------------------ generator moves
+def _basis(field: FieldSpec) -> tuple[int, ...]:
+    """The additive F_p-basis of F_q that every generator family runs
+    over: the codes p^j, j < k, since codes pack coefficients base p."""
+    return tuple(field.p ** j for j in range(field.k))
+
+
 def _sparse_moves(n: int, field: FieldSpec, mode: str):
-    """The generator moves of one action, one move per (c, t).
+    """The generator moves of one action, one move per (c, t) with t in
+    the basis: 1 + t e_{c,c+1} for basis t generate the root subgroup
+    1 + F_q e_{c,c+1}, since (1 + a e)(1 + b e) = 1 + (a + b) e.
 
     The left action of 1 + t e_{c,c+1} adds -t times row c to row c+1;
     the right action adds -t times column c+1 to column c; the coadjoint
@@ -144,7 +155,7 @@ def _sparse_moves(n: int, field: FieldSpec, mode: str):
     for c in range(1, n):
         left = [(idx[c + 1, b], idx[c, b]) for b in range(c + 2, n + 1)]
         right = [(idx[a, c], idx[a, c + 1]) for a in range(1, c)]
-        for t in range(1, field.q):
+        for t in _basis(field):
             neg = field.neg_code(t)
             lmove = tuple((d, s, neg) for d, s in left)
             if mode in ("left", "two_sided"):
@@ -189,14 +200,22 @@ def _element_move(g: UnitriangularElement, mode: str, positions=None):
     return tuple(triples)
 
 
-def _apply(codes: tuple[int, ...], move, add, mul) -> tuple[int, ...]:
-    """codes[dst] += coeff * codes[src] for every triple of the move, all
-    reading the original codes; add and mul are the field's tables."""
+def _compile(move, field: FieldSpec):
+    """The move with each coefficient replaced by its row of the field's
+    multiplication table, the form _apply takes."""
+    mul = field.mul_table
+    return tuple((dst, src, mul[c]) for dst, src, c in move)
+
+
+def _apply(codes: tuple[int, ...], move, add) -> tuple[int, ...]:
+    """codes[dst] += coeff * codes[src] for every triple of a compiled
+    move, all reading the original codes; a compiled triple holds the
+    coefficient's multiplication row, and add is the field's table."""
     out = list(codes)
-    for dst, src, c in move:
+    for dst, src, row in move:
         s = codes[src]
         if s:
-            out[dst] = add[out[dst]][mul[c][s]]
+            out[dst] = add[out[dst]][row[s]]
     return tuple(out)
 
 
@@ -210,7 +229,7 @@ def _bfs(start: tuple[int, ...], step, bound: int, what: str) -> set[tuple[int, 
             for nxt in step(codes):
                 if nxt not in seen:
                     if len(seen) >= bound:
-                        raise SpaceTooLarge(bound, None, what)
+                        raise SpaceTooLarge(bound, len(seen) + 1, what)
                     seen.add(nxt)
                     new.append(nxt)
         frontier = new
@@ -220,9 +239,9 @@ def _bfs(start: tuple[int, ...], step, bound: int, what: str) -> set[tuple[int, 
 def _stepper(moves, field: FieldSpec):
     """step(codes): the images of codes under every move that changes
     anything."""
-    add, mul = field.add_table, field.mul_table
-    moves = [move for move in moves if move]
-    return lambda codes: [_apply(codes, move, add, mul) for move in moves]
+    add = field.add_table
+    moves = [_compile(move, field) for move in moves if move]
+    return lambda codes: [_apply(codes, move, add) for move in moves]
 
 
 def _sweep(seeds, step, bound: int, what: str):
@@ -247,7 +266,8 @@ def _seeds(npos: int, free, q: int):
 def orbit(lam: Functional, mode: str, limit: int | None = None) -> set[Functional]:
     """The orbit of a functional under one of the four actions, as the
     breadth-first closure under the superdiagonal generators
-    1 + t e_{i,i+1} (left, right, both, or conjugation-combined)."""
+    1 + t e_{i,i+1} (left, right, both, or conjugation-combined) for t
+    in the F_p-basis of F_q, which generate U_n as all t in F_q^x do."""
     if mode not in ORBIT_MODES:
         raise UnknownFamily(f"unknown action mode {mode!r}")
     field = lam.field
@@ -342,9 +362,11 @@ def _translate(codes, t: int, direction, field: FieldSpec) -> tuple[int, ...]:
 
 def _h_generators(n: int, field: FieldSpec) -> list[UnitriangularElement]:
     """Generators of H = ker(sigma): the superdiagonal differences
-    1 + t(e_{i,i+1} - e_{i+1,i+2}) and all higher elementaries."""
+    1 + t(e_{i,i+1} - e_{i+1,i+2}) and the higher elementaries, t in the
+    F_p-basis.  Basis t give every higher elementary, and with them every
+    difference, since g(a) g(b) = g(a + b) modulo 1 + F_q e_{i,i+2}."""
     gens = []
-    for t in range(1, field.q):
+    for t in _basis(field):
         for i in range(1, n - 1):
             above = StrictUpperMatrix.from_dict(
                 n, field, {(i, i + 1): t, (i + 1, i + 2): field.neg_code(t)})
@@ -386,23 +408,24 @@ def _two_sided_census(group: str, n: int, q: int, bound: int) -> tuple[_Function
         what = f"functional space u_{n}(F_{q})*" if full else f"h* classes for U_{n}(F_{q})"
         raise SpaceTooLarge(bound, size, what)
     if full:
-        kind = "orbit"
+        kind = f"orbit in u_{n}(F_{q})*"
         left_moves = _sparse_moves(n, field, "left")
         right_moves = _sparse_moves(n, field, "right")
     else:
-        kind = "H-orbit"
+        kind = f"H-orbit in u_{n}(F_{q})* mod gamma"
         gens = _h_generators(n, field)
         left_moves = [_element_move(g, "left") for g in gens]
         right_moves = [_element_move(g, "right") for g in gens]
-    add, mul = field.add_table, field.mul_table
+    add = field.add_table
     # subtracting codes[0] times gamma zeroes the (1,2) coordinate
-    canon_move = tuple((a, 0, field.neg_code(1)) for a, g in enumerate(gamma_codes) if g)
+    canon_move = _compile([(a, 0, field.neg_code(1))
+                           for a, g in enumerate(gamma_codes) if g], field)
 
     def stepper(moves):
         step = _stepper(moves, field)
         if full:
             return step
-        return lambda codes: [_apply(c, canon_move, add, mul) if c[0] else c
+        return lambda codes: [_apply(c, canon_move, add) if c[0] else c
                               for c in step(codes)]
 
     left, right = stepper(left_moves), stepper(right_moves)
@@ -432,7 +455,8 @@ def _xi_census(n: int, q: int, bound: int) -> tuple[tuple[tuple[int, ...], int, 
     step = _stepper(_sparse_moves(n, field, "coadjoint"), field)
     gamma_codes = gamma(n, field).codes
     out = []
-    for codes, orb in _sweep(_seeds(npos, near, q), step, bound, "coadjoint orbit"):
+    for codes, orb in _sweep(_seeds(npos, near, q), step, bound,
+                             f"coadjoint orbit in u_{n}(F_{q})*"):
         stats = xi_stats(Functional.from_codes(n, field, codes))
         c_inv = all(_translate(codes, t, gamma_codes, field) in orb
                     for t in range(1, q))
@@ -529,7 +553,7 @@ def tech_lem1_bruteforce(d: int, q: int, limit: int | None = None) -> int:
         for i, t in enumerate(ts, start=1):
             codes[idx[i, i + 2]] = t
         codes = tuple(codes)
-        orb = _bfs(codes, step, bound, "coadjoint orbit")
+        orb = _bfs(codes, step, bound, f"coadjoint orbit in u_{n}(F_{q})*")
         if _translate(codes, 1, gamma_codes, field) in orb:
             count += 1
     return count
@@ -549,7 +573,7 @@ def conjugacy_classes(group: str, n: int, q: int,
     superdiagonals, d1 then d2.  1 + n^3 is normal, so conjugation by g
     sends 1 + X to 1 + g X g^{-1} read there, and the classes are
     closures under the generators of U_n (the superdiagonal
-    elementaries) or of ker(sigma).  Each class comes as (least member
+    elementaries, over the F_p-basis) or of ker(sigma).  Each class comes as (least member
     in d1-then-d2 order, size); the member is a UnitriangularElement
     that is zero beyond the second superdiagonal."""
     if group not in CONJUGACY_GROUPS:
@@ -564,7 +588,7 @@ def conjugacy_classes(group: str, n: int, q: int,
         raise SpaceTooLarge(bound, size, f"{group} group at (n,q)=({n},{q})")
     gens = (_h_generators(n, field) if alternating else
             [UnitriangularElement.elementary(n, field, i, i + 1, t)
-             for i in range(1, n) for t in range(1, q)])
+             for i in range(1, n) for t in _basis(field)])
     step = _stepper([_element_move(g, "conjugate", near) for g in gens], field)
     total = 0
 
@@ -580,5 +604,6 @@ def conjugacy_classes(group: str, n: int, q: int,
     orbits = tuple(
         (UnitriangularElement.from_above(StrictUpperMatrix.from_dict(n, field, dict(zip(near, codes)))),
          len(cls))
-        for codes, cls in _sweep(elements(), step, bound, f"conjugacy class in {group}"))
+        for codes, cls in _sweep(elements(), step, bound,
+                                  f"conjugacy class in {group} U_{n}(F_{q})"))
     return OrbitCensus("conjugacy", orbits, total)

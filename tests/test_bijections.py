@@ -97,6 +97,19 @@ def test_family_guards():
         path_to_functional(path_from_text("D21(1)", 2))
 
 
+def test_family_guard_names_first_offending_step():
+    # the message is pinned whole: the first step outside the family,
+    # counted from 0, wins over later ones and over a leading UU
+    path = path_from_text("R U(1) UU(1,1) R UU(1,1)", 2)
+    with pytest.raises(NotInFamily) as info:
+        pell_path_to_partition(path)
+    assert str(info.value) == "step 2 is not a pell step"
+    with pytest.raises(NotInFamily) as info:
+        pell_path_to_partition(path_from_text("UU(1,1) D21(1)", 2))
+    assert str(info.value) == "step 0 is not a pell step"
+    assert heis_degree_exponent(path) == 2
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
 def test_round_trip_and_image(n, q):
     paths = list(enumerate_paths("heis_tilde", n, q))

@@ -461,6 +461,17 @@ def test_space_guard_exit_3(capsys, monkeypatch):
     assert code == 0
 
 
+def test_orbit_guard_exit_3(capsys, monkeypatch):
+    # an orbit outgrowing --limit mid-search exits 3 and names the orbit
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", "1", "--q", "3",
+                            "--limit", "2")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: coadjoint orbit in u_4(F_3)* exceeds the size guard of 2 "
+                   "(needs 3); set HEISCHAR_SPACE_LIMIT or raise the limit argument\n")
+
+
 def test_main_raises_system_exit(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv",
                         ["heischar", "count", "--family", "pell", "--n", "3", "--q", "2"])

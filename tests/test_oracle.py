@@ -86,6 +86,17 @@ def test_orbit_pinned():
         orbit(linalg.e_star(3, F2, 1, 3), "coadjoint", limit=1)
 
 
+def test_orbit_guard_names_what_it_reached():
+    # the BFS guard reports the size it reached and where it ran
+    lam = linalg.e_star(4, F3, 1, 3)
+    with pytest.raises(SpaceTooLarge) as info:
+        orbit(lam, "coadjoint", limit=5)
+    assert info.value.bound == 5
+    assert info.value.needed == 6
+    assert str(info.value).startswith(
+        "coadjoint orbit in u_4(F_3)* exceeds the size guard of 5 (needs 6)")
+
+
 def test_orbit_modes_consistency():
     rng = random.Random(7)
     for _ in range(10):
@@ -343,3 +354,9 @@ def test_tech_lem1_bruteforce_small():
     assert tech_lem1_bruteforce(2, 2) == 0
     for d, q in [(1, 2), (1, 3), (2, 2)]:
         assert tech_lem1_bruteforce(d, q) == counting.tech_lem_count(d, q)
+
+
+@pytest.mark.parametrize("d,q", [(1, 4), (1, 8), (1, 9), (2, 4)])
+def test_tech_lem1_bruteforce_prime_powers(d, q):
+    # fields with k > 1, where the generator basis has several elements
+    assert tech_lem1_bruteforce(d, q) == counting.tech_lem_count(d, q)

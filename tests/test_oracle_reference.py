@@ -32,13 +32,30 @@ def sampled_functionals(n, q, count, seed):
             for _ in range(count)]
 
 
-def superdiagonal_generators(n, field):
+def superdiagonal_generators(n, field, scalars=None):
+    """1 + t e_{i,i+1} for every i and every t in scalars (default: all
+    of F_q^x)."""
+    scalars = scalars or range(1, field.q)
     return [UnitriangularElement.elementary(n, field, i, i + 1, t)
-            for i in range(1, n) for t in range(1, field.q)]
+            for i in range(1, n) for t in scalars]
+
+
+def kernel_generators(n, field):
+    """Generators of ker(sigma) for every t in F_q^x: the superdiagonal
+    differences 1 + t(e_{i,i+1} - e_{i+1,i+2}) and the higher
+    elementaries."""
+    gens = []
+    for t in range(1, field.q):
+        for i in range(1, n - 1):
+            gens.append(UnitriangularElement.from_above(StrictUpperMatrix.from_dict(
+                n, field, {(i, i + 1): t, (i + 1, i + 2): field.neg_code(t)})))
+        gens.extend(UnitriangularElement.elementary(n, field, i, j, t)
+                    for i in range(1, n + 1) for j in range(i + 2, n + 1))
+    return gens
 
 
 def apply_move(codes, move, field):
-    return oracle._apply(codes, move, field.add_table, field.mul_table)
+    return oracle._apply(codes, oracle._compile(move, field), field.add_table)
 
 
 # ---------------------------------------------------------------- orbits
@@ -61,7 +78,9 @@ def act_closure(lam, mode):
     return seen
 
 
-@pytest.mark.parametrize("n,q,sample", [(3, 3, None), (4, 2, None), (4, 3, 12), (3, 4, 16)])
+@pytest.mark.parametrize("n,q,sample", [
+    (3, 3, None), (4, 2, None), (4, 3, 12), (3, 4, 16), (3, 8, 8), (3, 9, 8), (4, 4, 3),
+])
 def test_orbits_equal_act_closures(n, q, sample):
     lams = (all_functionals(n, q) if sample is None
             else sampled_functionals(n, q, sample, seed=n * 10 + q))
@@ -72,10 +91,10 @@ def test_orbits_equal_act_closures(n, q, sample):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_superdiagonal_moves_match_act(q):
-    # the images of one functional under all moves of an action are its
-    # images under linalg.act by all generators
+    # the moves of an action, in order, are linalg.act by 1 + t e_{i,i+1}
+    # for t running over the F_p-basis p^j of F_q
     n, field = 4, gf.field_make(q)
-    gens = superdiagonal_generators(n, field)
+    gens = superdiagonal_generators(n, field, [field.p ** j for j in range(field.k)])
     for lam in sampled_functionals(n, q, 8, seed=q):
         for mode in ("left", "right", "coadjoint"):
             moves = oracle._sparse_moves(n, field, mode)
@@ -111,8 +130,9 @@ def brute_force_classes(elements, conjugate):
 
 
 @pytest.mark.parametrize("group,n,q", [
-    ("truncated", 4, 3), ("truncated", 5, 2), ("truncated_alternating", 4, 3),
-    ("truncated_alternating", 5, 2),
+    ("truncated", 4, 3), ("truncated", 5, 2), ("truncated", 3, 4),
+    ("truncated_alternating", 4, 3), ("truncated_alternating", 5, 2),
+    ("truncated_alternating", 3, 4),
 ])
 def test_conjugacy_classes_match_full_conjugation(group, n, q):
     # quotient elements are read d1 then d2 and conjugated as full
@@ -148,10 +168,11 @@ def translate(codes, t, direction, field):
 
 def h_orbit(n, codes, field, actions):
     """The ker(sigma)-orbit of the class of codes in h* = n* / F_q gamma:
-    the closure under linalg.act by the generators of ker(sigma), with
-    each class held by its member whose (1,2) coordinate is zero."""
+    the closure under linalg.act by the generators of ker(sigma) for
+    every t in F_q^x, with each class held by its member whose (1,2)
+    coordinate is zero."""
     gamma = linalg.gamma(n, field).codes
-    gens = oracle._h_generators(n, field)
+    gens = kernel_generators(n, field)
     assert all(linalg.sigma(g) == 0 for g in gens)
 
     def canon(mu):
