@@ -52,15 +52,17 @@ class NonIntegralDivision(ArithmeticError):
 
 class SpaceTooLarge(RuntimeError):
     """Raised when an enumeration or orbit search would exceed its size
-    guard.  ``bound`` is the active limit, ``needed`` the (estimated or
-    reached) demand.  ``limit_arg`` says whether the guarded call takes a
+    guard.  ``bound`` is the active limit, ``needed`` the demand: exact,
+    or with ``at_least`` a lower bound (the size a search had reached when
+    it stopped).  ``limit_arg`` says whether the guarded call takes a
     limit argument; the hint mentions one only then."""
 
     def __init__(self, bound: int, needed: int | None = None, what: str = "state space",
-                 limit_arg: bool = True):
+                 limit_arg: bool = True, at_least: bool = False):
         self.bound = bound
         self.needed = needed
-        detail = f" (needs {needed})" if needed is not None else ""
+        detail = (f" (needs {'at least ' if at_least else ''}{needed})"
+                  if needed is not None else "")
         hint = " or raise the limit argument" if limit_arg else " to raise it"
         super().__init__(f"{what} exceeds the size guard of {bound}{detail}; "
                          f"set HEISCHAR_SPACE_LIMIT{hint}")

@@ -15,15 +15,16 @@ with functionals held as dense tuples of field codes.  Each generator
 family runs over an additive F_p-basis of F_q, the codes p^j for j < k,
 not over all of F_q^x: a root subgroup {1 + t E : t in F_q} with E^2 = 0
 is (F_q, +), so the basis generates the same group and every closure is
-unchanged.  Every generator is compiled once into a sparse move, a tuple
-of (destination, source, coefficient) triples, and one kernel applies
-them all: for the superdiagonal generators 1 + t e_{i,i+1} of U_n the
-triples come straight from the row or column the action touches, and
-for arbitrary generators (needed for the alternating subgroup and for
-conjugation) from the off-diagonal entries of their action matrices.
-The quotient by 1 + n^3 has no element type of its own: 1 + n^3 is
-normal, so conjugation there is X -> g X g^{-1} in U_n read on the
-first two superdiagonals.  The l/s chains never multiply matrices:
+unchanged.  Every move has one source: each generator of the group (the
+superdiagonal elementaries 1 + t e_{i,i+1} of U_n, or the differences
+and higher elementaries that generate ker(sigma)) becomes a sparse move,
+a tuple of (destination, source, coefficient) triples read off the
+off-diagonal entries of its action matrix, for the left, right and
+coadjoint actions on functionals and for conjugation.  ``_moves`` builds
+and compiles them once per (group, n, q, action), and one kernel applies
+them all.  The quotient by 1 + n^3 has no element type of its own:
+1 + n^3 is normal, so conjugation there is X -> g X g^{-1} in U_n read
+on the first two superdiagonals.  The l/s chains never multiply matrices:
 lam(XY) is a bilinear form in X and Y, kept as the sparse list of its
 nonzero entries.  Every census is one sweep (``_sweep``) over seeds in
 lexicographic order, so every reported representative is the least
@@ -140,63 +141,62 @@ def _basis(field: FieldSpec) -> tuple[int, ...]:
     return tuple(field.p ** j for j in range(field.k))
 
 
-def _sparse_moves(n: int, field: FieldSpec, mode: str):
-    """The generator moves of one action, one move per (c, t) with t in
-    the basis: 1 + t e_{c,c+1} for basis t generate the root subgroup
-    1 + F_q e_{c,c+1}, since (1 + a e)(1 + b e) = 1 + (a + b) e.
-
-    The left action of 1 + t e_{c,c+1} adds -t times row c to row c+1;
-    the right action adds -t times column c+1 to column c; the coadjoint
-    move combines the left part (-t) with the right part (+t).  The two
-    parts read and write disjoint positions, so applying them against
-    the original codes matches the simultaneous action."""
-    idx = _position_index(n)
-    moves = []
-    for c in range(1, n):
-        left = [(idx[c + 1, b], idx[c, b]) for b in range(c + 2, n + 1)]
-        right = [(idx[a, c], idx[a, c + 1]) for a in range(1, c)]
-        for t in _basis(field):
-            neg = field.neg_code(t)
-            lmove = tuple((d, s, neg) for d, s in left)
-            if mode in ("left", "two_sided"):
-                moves.append(lmove)
-            if mode in ("right", "two_sided"):
-                moves.append(tuple((d, s, neg) for d, s in right))
-            if mode == "coadjoint":
-                moves.append(lmove + tuple((d, s, t) for d, s in right))
-    return moves
+def _generators(group: str, n: int, field: FieldSpec) -> list[UnitriangularElement]:
+    """Generators of U_n ("full"): the superdiagonal elementaries
+    1 + t e_{i,i+1}; or of H = ker(sigma) ("alternating"): the
+    superdiagonal differences 1 + t(e_{i,i+1} - e_{i+1,i+2}) and the
+    higher elementaries.  t runs over the F_p-basis: a root subgroup
+    1 + F_q E with E^2 = 0 is (F_q, +), so basis t give all of it, and in
+    H every difference, since g(a) g(b) = g(a + b) modulo 1 + F_q e_{i,i+2}."""
+    basis = _basis(field)
+    if group == "full":
+        return [UnitriangularElement.elementary(n, field, i, i + 1, t)
+                for i in range(1, n) for t in basis]
+    gens = []
+    for t in basis:
+        for i in range(1, n - 1):
+            above = StrictUpperMatrix.from_dict(
+                n, field, {(i, i + 1): t, (i + 1, i + 2): field.neg_code(t)})
+            gens.append(UnitriangularElement.from_above(above))
+        for i in range(1, n + 1):
+            for j in range(i + 2, n + 1):
+                gens.append(UnitriangularElement.elementary(n, field, i, j, t))
+    return gens
 
 
-def _element_move(g: UnitriangularElement, mode: str, positions=None):
-    """The move of an arbitrary group element.
+def _d1_d2(n: int) -> list[tuple[int, int]]:
+    """The positions, d1 then d2, that an element of U_n / (1 + n^3) is read on."""
+    return [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)]
 
-    "left" and "right" act on functionals: (g acting on lam)[d] =
-    sum_s T[d][s] lam[s], where row d of T holds the codes of g^{-1} e_d
-    (left) or e_d g^{-1} (right).  "conjugate" acts on matrices:
+
+def _element_move(g: UnitriangularElement, mode: str):
+    """The move of one group element.
+
+    Each mode is a map X -> P X R with P, R among 1, g and g^{-1}, and
+    the (a, b) entry of P e_{ij} R is P[a, i] R[j, b], so no matrix is
+    multiplied.  "left", "right" and "coadjoint" act on functionals,
+    over the whole triangle:
+    (g acting on lam)[d] = sum_s T[d][s] lam[s], where row d of T holds
+    the codes of g^{-1} e_d (left), e_d g^{-1} (right) or g^{-1} e_d g
+    (coadjoint), as in linalg.act.  "conjugate" acts on matrices modulo
+    the ideal n^3, over the d1-then-d2 positions:
     (g X g^{-1})[d] = sum_s T[d][s] X[s], where column s of T holds the
-    codes of g e_s g^{-1}.  positions (default: the whole triangle)
-    lists the coordinates the move reads and writes, in order; the
-    d1-then-d2 positions give conjugation modulo the ideal n^3.  T is
-    unitriangular, so only its off-diagonal entries become triples."""
-    n, field = g.n, g.field
-    ginv = group_inv(g)
-    if positions is None:
-        positions = triangle_positions(n)
-    idx = _position_index(n)
-    cols = [idx[ij] for ij in positions]
-    images = []
-    for i, j in positions:
-        e = StrictUpperMatrix.basis_element(n, field, i, j)
-        if mode == "left":
-            images.append(ginv.mul_matrix_left(e).codes)
-        elif mode == "right":
-            images.append(ginv.mul_matrix_right(e).codes)
-        else:
-            images.append(g.mul_matrix_left(ginv.mul_matrix_right(e)).codes)
-    triples = [(a, b, image[col]) for a, image in enumerate(images)
-               for b, col in enumerate(cols) if image[col] and a != b]
-    if mode == "conjugate":
-        return tuple((b, a, c) for a, b, c in triples)
+    codes of g e_s g^{-1}.  T is unitriangular, so only its off-diagonal
+    entries become triples."""
+    ginv, one = group_inv(g), UnitriangularElement.one(g.n, g.field)
+    p, r = {"left": (ginv, one), "right": (one, ginv),
+            "coadjoint": (ginv, g), "conjugate": (g, ginv)}[mode]
+    cells = list(product(range(1, g.n + 1), repeat=2))
+    p, r = ({ij: x.entry(*ij) for ij in cells} for x in (p, r))
+    mul = g.field.mul_table
+    conjugate = mode == "conjugate"
+    positions = _d1_d2(g.n) if conjugate else triangle_positions(g.n)
+    triples = []
+    for d, (a, b) in enumerate(positions):
+        for s, (i, j) in enumerate(positions):
+            c = mul[p[a, i]][r[j, b]] if conjugate else mul[p[i, a]][r[b, j]]
+            if c and d != s:
+                triples.append((d, s, c))
     return tuple(triples)
 
 
@@ -205,6 +205,18 @@ def _compile(move, field: FieldSpec):
     multiplication table, the form _apply takes."""
     mul = field.mul_table
     return tuple((dst, src, mul[c]) for dst, src, c in move)
+
+
+@lru_cache(maxsize=None)
+def _moves(group: str, n: int, q: int, mode: str):
+    """The compiled moves of one action ("left", "right", "coadjoint",
+    "conjugate") of the generators of one group, one move per generator
+    in order; "two_sided" is the left moves followed by the right ones."""
+    if mode == "two_sided":
+        return _moves(group, n, q, "left") + _moves(group, n, q, "right")
+    field = field_make(q)
+    return tuple(_compile(_element_move(g, mode), field)
+                 for g in _generators(group, n, field))
 
 
 def _apply(codes: tuple[int, ...], move, add) -> tuple[int, ...]:
@@ -220,7 +232,8 @@ def _apply(codes: tuple[int, ...], move, add) -> tuple[int, ...]:
 
 
 def _bfs(start: tuple[int, ...], step, bound: int, what: str) -> set[tuple[int, ...]]:
-    """Closure of start under the moves yielded by step(codes)."""
+    """Closure of start under the moves yielded by step(codes); past the
+    guard it reports the size reached, a lower bound on the closure."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -229,7 +242,7 @@ def _bfs(start: tuple[int, ...], step, bound: int, what: str) -> set[tuple[int, 
             for nxt in step(codes):
                 if nxt not in seen:
                     if len(seen) >= bound:
-                        raise SpaceTooLarge(bound, len(seen) + 1, what)
+                        raise SpaceTooLarge(bound, len(seen) + 1, what, at_least=True)
                     seen.add(nxt)
                     new.append(nxt)
         frontier = new
@@ -237,10 +250,10 @@ def _bfs(start: tuple[int, ...], step, bound: int, what: str) -> set[tuple[int, 
 
 
 def _stepper(moves, field: FieldSpec):
-    """step(codes): the images of codes under every move that changes
-    anything."""
+    """step(codes): the images of codes under every compiled move that
+    changes anything."""
     add = field.add_table
-    moves = [_compile(move, field) for move in moves if move]
+    moves = [move for move in moves if move]
     return lambda codes: [_apply(codes, move, add) for move in moves]
 
 
@@ -266,12 +279,12 @@ def _seeds(npos: int, free, q: int):
 def orbit(lam: Functional, mode: str, limit: int | None = None) -> set[Functional]:
     """The orbit of a functional under one of the four actions, as the
     breadth-first closure under the superdiagonal generators
-    1 + t e_{i,i+1} (left, right, both, or conjugation-combined) for t
-    in the F_p-basis of F_q, which generate U_n as all t in F_q^x do."""
+    1 + t e_{i,i+1} (left, right, both, or coadjoint) for t in the
+    F_p-basis of F_q, which generate U_n as all t in F_q^x do."""
     if mode not in ORBIT_MODES:
         raise UnknownFamily(f"unknown action mode {mode!r}")
     field = lam.field
-    moves = _sparse_moves(lam.n, field, mode)
+    moves = _moves("full", lam.n, field.q, mode)
     bound = space_limit(limit)
     seen = _bfs(lam.codes, _stepper(moves, field), bound,
                 f"{mode} orbit in u_{lam.n}(F_{field.q})*")
@@ -360,23 +373,6 @@ def _translate(codes, t: int, direction, field: FieldSpec) -> tuple[int, ...]:
                  for v, g in zip(codes, direction))
 
 
-def _h_generators(n: int, field: FieldSpec) -> list[UnitriangularElement]:
-    """Generators of H = ker(sigma): the superdiagonal differences
-    1 + t(e_{i,i+1} - e_{i+1,i+2}) and the higher elementaries, t in the
-    F_p-basis.  Basis t give every higher elementary, and with them every
-    difference, since g(a) g(b) = g(a + b) modulo 1 + F_q e_{i,i+2}."""
-    gens = []
-    for t in _basis(field):
-        for i in range(1, n - 1):
-            above = StrictUpperMatrix.from_dict(
-                n, field, {(i, i + 1): t, (i + 1, i + 2): field.neg_code(t)})
-            gens.append(UnitriangularElement.from_above(above))
-        for i in range(1, n + 1):
-            for j in range(i + 2, n + 1):
-                gens.append(UnitriangularElement.elementary(n, field, i, j, t))
-    return gens
-
-
 @dataclass(frozen=True)
 class _FunctionalOrbit:
     rep: tuple[int, ...]
@@ -407,29 +403,20 @@ def _two_sided_census(group: str, n: int, q: int, bound: int) -> tuple[_Function
     if size > bound:
         what = f"functional space u_{n}(F_{q})*" if full else f"h* classes for U_{n}(F_{q})"
         raise SpaceTooLarge(bound, size, what)
-    if full:
-        kind = f"orbit in u_{n}(F_{q})*"
-        left_moves = _sparse_moves(n, field, "left")
-        right_moves = _sparse_moves(n, field, "right")
-    else:
-        kind = f"H-orbit in u_{n}(F_{q})* mod gamma"
-        gens = _h_generators(n, field)
-        left_moves = [_element_move(g, "left") for g in gens]
-        right_moves = [_element_move(g, "right") for g in gens]
+    kind = f"orbit in u_{n}(F_{q})*" if full else f"H-orbit in u_{n}(F_{q})* mod gamma"
     add = field.add_table
     # subtracting codes[0] times gamma zeroes the (1,2) coordinate
     canon_move = _compile([(a, 0, field.neg_code(1))
                            for a, g in enumerate(gamma_codes) if g], field)
 
-    def stepper(moves):
-        step = _stepper(moves, field)
+    def stepper(mode):
+        step = _stepper(_moves(group, n, q, mode), field)
         if full:
             return step
         return lambda codes: [_apply(c, canon_move, add) if c[0] else c
                               for c in step(codes)]
 
-    left, right = stepper(left_moves), stepper(right_moves)
-    both = stepper(left_moves + right_moves)
+    left, right, both = stepper("left"), stepper("right"), stepper("two_sided")
     out = []
     for codes, two_sided in _sweep(_seeds(npos, free, q), both, bound, f"two-sided {kind}"):
         meet = (_bfs(codes, left, bound, f"left {kind}")
@@ -452,7 +439,7 @@ def _xi_census(n: int, q: int, bound: int) -> tuple[tuple[tuple[int, ...], int, 
     if seeds > bound:
         raise SpaceTooLarge(bound, seeds, f"kernel-restricted u_{n}(F_{q})*")
     near = [a for a, (i, j) in enumerate(triangle_positions(n)) if j - i <= 2]
-    step = _stepper(_sparse_moves(n, field, "coadjoint"), field)
+    step = _stepper(_moves("full", n, q, "coadjoint"), field)
     gamma_codes = gamma(n, field).codes
     out = []
     for codes, orb in _sweep(_seeds(npos, near, q), step, bound,
@@ -543,8 +530,7 @@ def tech_lem1_bruteforce(d: int, q: int, limit: int | None = None) -> int:
     n = 2 * d + 2
     field = field_make(q)
     bound = space_limit(limit)
-    moves = _sparse_moves(n, field, "coadjoint")
-    step = _stepper(moves, field)
+    step = _stepper(_moves("full", n, q, "coadjoint"), field)
     gamma_codes = gamma(n, field).codes
     idx = _position_index(n)
     count = 0
@@ -581,15 +567,12 @@ def conjugacy_classes(group: str, n: int, q: int,
     field = field_make(q)
     bound = space_limit(limit)
     alternating = group == "truncated_alternating"
-    near = [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)]
+    near = _d1_d2(n)
     n1 = max(n - 1, 0)
     size = q ** (len(near) - (1 if alternating and n1 else 0))
     if size > bound:
         raise SpaceTooLarge(bound, size, f"{group} group at (n,q)=({n},{q})")
-    gens = (_h_generators(n, field) if alternating else
-            [UnitriangularElement.elementary(n, field, i, i + 1, t)
-             for i in range(1, n) for t in _basis(field)])
-    step = _stepper([_element_move(g, "conjugate", near) for g in gens], field)
+    step = _stepper(_moves("alternating" if alternating else "full", n, q, "conjugate"), field)
     total = 0
 
     def elements():

@@ -197,6 +197,22 @@ def test_criterion_8_alternating_subgroup():
           "integer coefficients (n<=12) and match subgroup censuses")
 
 
+# every check at prime powers, where the F_p-basis of F_q has more than
+# one element (DEFAULT_SWEEPS covers only q = 2 and 3)
+PRIME_POWER_POINTS = (
+    ("bell-thm", 4, 5), ("heis-thm", 4, 7), ("del-thm", 4, 4), ("deg-cor", 4, 4),
+    ("fe-thm", 4, 4), ("c-irr-thm", 4, 4), ("c-heis-thm", 5, 4), ("tech-lem1", 2, 4),
+    ("tech-lem1", 1, 9), ("alt-thm", 4, 4), ("alt-thm", 3, 8),
+)
+
+
+def test_every_check_passes_at_prime_powers():
+    assert {name for name, _, _ in PRIME_POWER_POINTS} == set(checks.CHECKS)
+    for name, n, q in PRIME_POWER_POINTS:
+        assert_all_passed(checks.run_check(name, (n,), (q,)))
+    print("PASS: all nine checks at prime-power points with q in {4,5,7,8,9}")
+
+
 def test_criterion_9_structural_properties():
     # chain inclusions, multiplicative closure and the orbit-size identity
     for n, q in ((3, 2), (3, 3), (4, 2)):

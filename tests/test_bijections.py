@@ -2,7 +2,7 @@
 
 import pytest
 
-from heischar import bijections, counting, gf, linalg
+from heischar import bijections, counting, gf, linalg, oracle
 from heischar.bijections import (
     CLASS_X,
     CLASS_Y,
@@ -197,6 +197,22 @@ def test_c_invariant_path_census(n, q):
                  for p in enumerate_paths("heis_tilde", n, q))
     assert census == counting.poly("inv", n - 1)(q - 1)
     assert census == counting.c_invariant_heis_count(n - 1, q)
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2), (5, 3), (4, 4), (4, 5)])
+def test_c_invariant_path_matches_coadjoint_translation(n, q):
+    # path by path, not only in total: the block predicate holds exactly
+    # when lam + t gamma lies in the coadjoint orbit of lam for every t
+    field = gf.field_make(q)
+    gamma = linalg.gamma(n, field).codes
+    for path in enumerate_paths("heis_tilde", n, q):
+        lam = path_to_functional(path)
+        orb = oracle.orbit(lam, "coadjoint")
+        translated = all(
+            linalg.Functional.from_codes(n, field, tuple(
+                field.add_code(a, field.mul_code(t, g)) for a, g in zip(lam.codes, gamma)))
+            in orb for t in range(1, q))
+        assert is_c_invariant_heis_path(path) == translated, path_to_text(path)
 
 
 def test_invariance_notions_diverge():

@@ -425,6 +425,14 @@ _partition_texts = st.one_of(st.just("(no arcs)"), st.lists(
     lambda arcs: " ".join(f"arc {i}-{j}:{t}" for i, j, t in arcs)))
 _context = st.lists(st.tuples(st.sampled_from(("--n", "--q")), st.integers(-2, 9).map(str)),
                     max_size=2).map(lambda pairs: tuple(x for pair in pairs for x in pair))
+# verify at small sizes: indices (d for tech-lem1) from -1 to 5 as single
+# values or ranges, valid and invalid field orders, and a --limit of at
+# most 3000, so every census either finishes or trips the guard quickly
+_verify_ns = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map(lambda ab: f"{ab[0]}-{ab[1]}"),
+)
+_verify_qs = st.sampled_from(("0", "1", "2", "3", "4", "5", "6", "9", "512"))
 _argvs = st.one_of(
     st.tuples(st.just("count"), st.just("--family"), st.sampled_from(sorted(cli.FAMILIES)),
               st.just("--n"), _int_lists, st.just("--q"), _int_lists),
@@ -438,6 +446,9 @@ _argvs = st.one_of(
     st.tuples(st.just("map"), st.sampled_from(cli.MAP_OPS),
               st.one_of(_path_texts, _functional_texts, _partition_texts),
               _context).map(lambda t: (*t[:3], *t[3])),
+    st.tuples(st.just("verify"), st.sampled_from(sorted(checks.CHECKS)),
+              st.just("--n"), _verify_ns, st.just("--q"), _verify_qs,
+              st.just("--limit"), st.integers(0, 3000).map(str)),
 )
 
 
@@ -469,7 +480,8 @@ def test_orbit_guard_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == ("error: coadjoint orbit in u_4(F_3)* exceeds the size guard of 2 "
-                   "(needs 3); set HEISCHAR_SPACE_LIMIT or raise the limit argument\n")
+                   "(needs at least 3); set HEISCHAR_SPACE_LIMIT or raise the limit "
+                   "argument\n")
 
 
 def test_main_raises_system_exit(monkeypatch, capsys):

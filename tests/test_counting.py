@@ -384,6 +384,20 @@ def test_leading_coefficients_are_fibonacci():
 
 
 # ------------------------------------------------------------ derived counters
+def test_degree_counts_sum_to_quotient_order():
+    # the irreducible characters of U_n / (1 + n^3) have squared degrees
+    # summing to its order: sum_e degree_count(n, e) q^{2e} = q^{2n-3},
+    # as polynomials in x = q - 1
+    q_powers = [IntPolynomial.const(1)]
+    for _ in range(2 * 60):
+        q_powers.append(q_powers[-1] * ONE_PLUS_X)
+    for n in range(2, 61):
+        total = IntPolynomial.zero()
+        for e in range(n):
+            total = total + degree_count(n, e, as_polynomial=True) * q_powers[2 * e]
+        assert total == q_powers[2 * n - 3], n
+
+
 def test_degree_count_pinned():
     assert degree_count(3, 0, as_polynomial=True).coeffs == (1, 2, 1)
     assert degree_count(3, 1, as_polynomial=True).coeffs == (0, 1)

@@ -87,14 +87,15 @@ def test_orbit_pinned():
 
 
 def test_orbit_guard_names_what_it_reached():
-    # the BFS guard reports the size it reached and where it ran
+    # the BFS guard reports the size it reached, a lower bound on the
+    # 9-point orbit, and where it ran
     lam = linalg.e_star(4, F3, 1, 3)
     with pytest.raises(SpaceTooLarge) as info:
         orbit(lam, "coadjoint", limit=5)
     assert info.value.bound == 5
     assert info.value.needed == 6
     assert str(info.value).startswith(
-        "coadjoint orbit in u_4(F_3)* exceeds the size guard of 5 (needs 6)")
+        "coadjoint orbit in u_4(F_3)* exceeds the size guard of 5 (needs at least 6)")
 
 
 def test_orbit_modes_consistency():

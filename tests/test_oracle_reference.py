@@ -40,22 +40,18 @@ def superdiagonal_generators(n, field, scalars=None):
             for i in range(1, n) for t in scalars]
 
 
-def kernel_generators(n, field):
-    """Generators of ker(sigma) for every t in F_q^x: the superdiagonal
-    differences 1 + t(e_{i,i+1} - e_{i+1,i+2}) and the higher
-    elementaries."""
+def kernel_generators(n, field, scalars=None):
+    """Generators of ker(sigma) for every t in scalars (default: all of
+    F_q^x): the superdiagonal differences 1 + t(e_{i,i+1} - e_{i+1,i+2})
+    and the higher elementaries."""
     gens = []
-    for t in range(1, field.q):
+    for t in scalars or range(1, field.q):
         for i in range(1, n - 1):
             gens.append(UnitriangularElement.from_above(StrictUpperMatrix.from_dict(
                 n, field, {(i, i + 1): t, (i + 1, i + 2): field.neg_code(t)})))
         gens.extend(UnitriangularElement.elementary(n, field, i, j, t)
                     for i in range(1, n + 1) for j in range(i + 2, n + 1))
     return gens
-
-
-def apply_move(codes, move, field):
-    return oracle._apply(codes, oracle._compile(move, field), field.add_table)
 
 
 # ---------------------------------------------------------------- orbits
@@ -90,30 +86,21 @@ def test_orbits_equal_act_closures(n, q, sample):
 
 
 @pytest.mark.parametrize("q", [3, 4])
-def test_superdiagonal_moves_match_act(q):
-    # the moves of an action, in order, are linalg.act by 1 + t e_{i,i+1}
-    # for t running over the F_p-basis p^j of F_q
+def test_generator_moves_match_act(q):
+    # the compiled moves of an action, in order, are linalg.act by the
+    # group's generators: 1 + t e_{i,i+1} (full) or the generators of
+    # ker(sigma) (alternating), for t in the F_p-basis p^j of F_q
     n, field = 4, gf.field_make(q)
-    gens = superdiagonal_generators(n, field, [field.p ** j for j in range(field.k)])
-    for lam in sampled_functionals(n, q, 8, seed=q):
-        for mode in ("left", "right", "coadjoint"):
-            moves = oracle._sparse_moves(n, field, mode)
-            got = [apply_move(lam.codes, m, field) for m in moves]
-            want = [linalg.act(mode, g, lam).codes for g in gens]
-            assert got == want, (lam.codes, mode)
-
-
-@pytest.mark.parametrize("q", [3, 4])
-def test_alternating_moves_match_act(q):
-    # each compiled generator of ker(sigma), before canonicalization
-    n, field = 4, gf.field_make(q)
+    basis = [field.p ** j for j in range(field.k)]
     lams = sampled_functionals(n, q, 6, seed=100 + q)
-    for g in oracle._h_generators(n, field):
-        for mode in ("left", "right"):
-            move = oracle._element_move(g, mode)
+    for group, gens in (("full", superdiagonal_generators(n, field, basis)),
+                        ("alternating", kernel_generators(n, field, basis))):
+        for mode in ("left", "right", "coadjoint"):
+            moves = oracle._moves(group, n, q, mode)
             for lam in lams:
-                assert apply_move(lam.codes, move, field) == \
-                    linalg.act(mode, g, lam).codes, (g.above.codes, mode)
+                got = [oracle._apply(lam.codes, m, field.add_table) for m in moves]
+                want = [linalg.act(mode, g, lam).codes for g in gens]
+                assert got == want, (group, lam.codes, mode)
 
 
 # ---------------------------------------------------- conjugacy classes
