@@ -85,22 +85,34 @@ def test_orbits_equal_act_closures(n, q, sample):
             assert oracle.orbit(lam, mode) == act_closure(lam, mode), (lam.codes, mode)
 
 
-@pytest.mark.parametrize("q", [3, 4])
-def test_generator_moves_match_act(q):
+def check_moves_match_act(group, gens, lams, q):
     # the compiled moves of an action, in order, are linalg.act by the
-    # group's generators: 1 + t e_{i,i+1} (full) or the generators of
-    # ker(sigma) (alternating), for t in the F_p-basis p^j of F_q
-    n, field = 4, gf.field_make(q)
+    # group's generators
+    field = gf.field_make(q)
+    for mode in ("left", "right", "coadjoint"):
+        moves = oracle._moves(group, 4, q, mode)
+        for lam in lams:
+            got = [oracle._apply(lam.codes, m, field.add_table) for m in moves]
+            want = [linalg.act(mode, g, lam).codes for g in gens]
+            assert got == want, (group, lam.codes, mode)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_superdiagonal_moves_match_act(q):
+    # U_n: 1 + t e_{i,i+1} for t running over the F_p-basis p^j of F_q
+    field = gf.field_make(q)
     basis = [field.p ** j for j in range(field.k)]
-    lams = sampled_functionals(n, q, 6, seed=100 + q)
-    for group, gens in (("full", superdiagonal_generators(n, field, basis)),
-                        ("alternating", kernel_generators(n, field, basis))):
-        for mode in ("left", "right", "coadjoint"):
-            moves = oracle._moves(group, n, q, mode)
-            for lam in lams:
-                got = [oracle._apply(lam.codes, m, field.add_table) for m in moves]
-                want = [linalg.act(mode, g, lam).codes for g in gens]
-                assert got == want, (group, lam.codes, mode)
+    check_moves_match_act("full", superdiagonal_generators(4, field, basis),
+                          sampled_functionals(4, q, 8, seed=q), q)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_alternating_moves_match_act(q):
+    # ker(sigma): its generators for t running over the F_p-basis of F_q
+    field = gf.field_make(q)
+    basis = [field.p ** j for j in range(field.k)]
+    check_moves_match_act("alternating", kernel_generators(4, field, basis),
+                          sampled_functionals(4, q, 6, seed=100 + q), q)
 
 
 # ---------------------------------------------------- conjugacy classes
