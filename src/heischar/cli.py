@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -89,37 +90,39 @@ def _nonnegative(text: str) -> int:
 _CHUNK = 4096  # lines per write when text and csv are streamed
 
 
-def _text_chunks(lines):
+def _text_chunks(lines, per: int):
     lines = iter(lines)
-    while chunk := "".join([line + "\n" for line in islice(lines, _CHUNK)]):
+    while chunk := "".join([line + "\n" for line in islice(lines, per)]):
         yield chunk
 
 
-def _csv_chunks(rows, fields):
+def _csv_chunks(rows, fields, per: int):
     rows = chain([fields], rows)
     while True:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(islice(rows, _CHUNK))
+        csv.writer(buf, lineterminator="\n").writerows(islice(rows, per))
         if not (chunk := buf.getvalue()):
             return
         yield chunk
 
 
-def _emit(args, lines, payload, rows, fields) -> None:
+def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None) -> None:
     """Write lines (text), payload (json; a one-item list as its item) or rows
     (csv; sequences in the order of fields).
 
-    lines and rows may be lazy: text and csv are written a few thousand
-    lines at a time as they are produced, while json is written whole.
+    lines and rows may be lazy: text and csv are written lines_per_write
+    lines at a time (default a few thousand; one for commands whose lines
+    can each be long) as they are produced, while json is written whole.
     """
+    per = lines_per_write or _CHUNK
     if args.format == "json":
         if isinstance(payload, list) and len(payload) == 1:
             payload = payload[0]
         chunks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
     elif args.format == "csv":
-        chunks = _csv_chunks(rows, fields)
+        chunks = _csv_chunks(rows, fields, per)
     else:
-        chunks = _text_chunks(lines)
+        chunks = _text_chunks(lines, per)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
@@ -127,42 +130,53 @@ def _emit(args, lines, payload, rows, fields) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _check_printable(numbers) -> None:
+    """Raise now, before the first byte, the ValueError that str() raises
+    on an int past the interpreter's digit limit: an int of at most
+    safe_bits bits has fewer digits than that, and only longer ones are
+    converted here."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        safe_bits = int((limit - 1) / math.log10(2))
+        for v in numbers:
+            if v.bit_length() > safe_bits:
+                str(v)
+
+
 def _cmd_count(args) -> int:
     _, _, pfam = FAMILIES[args.family]
     qs = parse_int_list(args.q)
     for q in qs:
         field_make(q)
-    results = [{"family": args.family, "n": n, "q": q,
-                "value": counting.poly(pfam, n)(q - 1)}
-               for n in parse_int_list(args.n) for q in qs]
-    lines = ([str(results[0]["value"])] if len(results) == 1
-             else [f"{r['n']} {r['q']} {r['value']}" for r in results])
+    # every value is computed and checked printable before the first byte;
+    # text and csv lines are then formatted as they are written
     fields = ("family", "n", "q", "value")
-    _emit(args, lines, results, map(itemgetter(*fields), results), fields)
+    records = [(args.family, n, q, counting.poly(pfam, n)(q - 1))
+               for n in parse_int_list(args.n) for q in qs]
+    _check_printable(r[3] for r in records)
+    payload = [dict(zip(fields, r)) for r in records] if args.format == "json" else None
+    lines = (str(r[3]) if len(records) == 1 else f"{r[1]} {r[2]} {r[3]}" for r in records)
+    _emit(args, lines, payload, records, fields, lines_per_write=1)
     return 0
 
 
 def _cmd_poly(args) -> int:
-    results = []
-    for n in parse_int_list(args.n):
-        p = counting.poly(args.family, n)
-        entry = {"family": args.family, "n": n}
-        if args.x is None:
-            entry["coefficients"] = list(p.coeffs)
-        else:
-            entry["x"] = args.x
-            entry["value"] = p(args.x)
-        results.append(entry)
-    key = "coefficients" if args.x is None else "value"
-    lines = [str(r[key]) if len(results) == 1 else f"{r['n']} {r[key]}" for r in results]
+    # every polynomial is built, and every number checked printable, before
+    # the first byte; text and csv lines are then formatted as they are written
+    ns = parse_int_list(args.n)
     if args.x is None:
         fields = ("family", "n", "coefficients")
-        rows = [(r["family"], r["n"], " ".join(map(str, r["coefficients"])))
-                for r in results]
+        records = [(args.family, n, list(counting.poly(args.family, n).coeffs)) for n in ns]
+        _check_printable(c for r in records for c in r[2])
+        rows = ((family, n, " ".join(map(str, coeffs))) for family, n, coeffs in records)
     else:
         fields = ("family", "n", "x", "value")
-        rows = map(itemgetter(*fields), results)
-    _emit(args, lines, results, rows, fields)
+        records = [(args.family, n, args.x, counting.poly(args.family, n)(args.x)) for n in ns]
+        _check_printable(r[3] for r in records)
+        rows = records
+    payload = [dict(zip(fields, r)) for r in records] if args.format == "json" else None
+    lines = (str(r[-1]) if len(records) == 1 else f"{r[1]} {r[-1]}" for r in records)
+    _emit(args, lines, payload, rows, fields, lines_per_write=1)
     return 0
 
 

@@ -22,13 +22,25 @@ a tuple of (destination, source, coefficient) triples read off the
 off-diagonal entries of its action matrix, for the left, right and
 coadjoint actions on functionals and for conjugation.  ``_moves`` builds
 and compiles them once per (group, n, q, action), and one kernel applies
-them all.  The quotient by 1 + n^3 has no element type of its own:
+them all.  On h* = n* / F_q gamma, held by the functionals with a zero
+(1,2) coordinate, each ker(sigma) move is composed once with
+lam -> lam - lam_12 gamma, so the h* moves are linear maps like any
+other.  The quotient by 1 + n^3 has no element type of its own:
 1 + n^3 is normal, so conjugation there is X -> g X g^{-1} in U_n read
 on the first two superdiagonals.  The l/s chains never multiply matrices:
 lam(XY) is a bilinear form in X and Y, kept as the sparse list of its
-nonzero entries.  Every census is one sweep (``_sweep``) over seeds in
-lexicographic order, so every reported representative is the least
-element of its orbit.
+nonzero entries.
+
+Every census labels its whole space in one sweep (``_sweep``): a state's
+index is its free coordinates read base q, seeds are taken in index
+(= lexicographic) order, so every reported representative is the least
+element of its orbit, and a bytearray the size of the guarded space
+marks what is visited.  Each move is grouped by destination, so an
+image's index is computed from the source codes, and its tuple is built
+only when that index is new.  Single orbits (``orbit``, the left and
+right orbits behind the irreducibility flag) stay on a set-based BFS.
+Where a coadjoint orbit is an affine space lam + T_lam (lam killing
+n^3), ``tech_lem1_bruteforce`` tests membership by rank instead.
 """
 from __future__ import annotations
 
@@ -40,7 +52,7 @@ from .errors import SpaceTooLarge, UnknownFamily, space_limit
 from .gf import FieldSpec, field_make
 from .linalg import (Functional, StrictUpperMatrix, UnitriangularElement,
                      _position_index, gamma, group_inv, null_space, row_reduce,
-                     triangle_positions)
+                     solve_consistent, triangle_positions)
 
 HEISENBERG_METHODS = ("quotient_classes", "xi_census")
 C_INVARIANT_KINDS = ("supercharacters", "irreducible_supercharacters",
@@ -257,23 +269,135 @@ def _stepper(moves, field: FieldSpec):
     return lambda codes: [_apply(codes, move, add) for move in moves]
 
 
-def _sweep(seeds, step, bound: int, what: str):
-    """Yield (seed, orbit) for every seed outside the orbits found so
-    far; with seeds in lexicographic order, each yielded seed is the
-    least element of its orbit."""
-    seen = set()
-    for seed in seeds:
-        if seed not in seen:
-            orb = _bfs(seed, step, bound, what)
-            seen |= orb
-            yield seed, orb
+def _onto_h(move, gamma_codes, field: FieldSpec):
+    """A compiled move on h* = n* / F_q gamma: the move followed by
+    lam -> lam - lam_12 gamma, which zeroes the (1,2) coordinate
+    (position 0), as one linear map on functionals with lam_12 = 0."""
+    coeff: dict[tuple[int, int], int] = {}
+
+    def put(dst, src, c):
+        coeff[dst, src] = field.add_code(coeff.get((dst, src), 0), c)
+
+    for dst, src, row in move:
+        if not src:
+            continue
+        c = row[1]
+        if dst:
+            put(dst, src, c)
+        else:
+            for a, g in enumerate(gamma_codes):
+                if g and a:
+                    put(a, src, field.neg_code(field.mul_code(g, c)))
+    return _compile([(d, s, c) for (d, s), c in sorted(coeff.items()) if c], field)
 
 
-def _seeds(npos: int, free, q: int):
-    """Every code tuple of length npos that is zero off the positions
-    free, in lexicographic order."""
-    free = set(free)
-    return product(*(range(q) if a in free else (0,) for a in range(npos)))
+@lru_cache(maxsize=None)
+def _functional_moves(group: str, n: int, q: int, mode: str):
+    """The compiled moves of one action on n* ("full") or on h*, held by
+    the members with a zero (1,2) coordinate ("alternating")."""
+    moves = _moves(group, n, q, mode)
+    if group == "full":
+        return moves
+    field = field_make(q)
+    gamma_codes = gamma(n, field).codes
+    return tuple(_onto_h(move, gamma_codes, field) for move in moves)
+
+
+def _index_moves(moves, weight, live, field: FieldSpec):
+    """The moves in the sweep's form, restricted to the live positions:
+    per move, the destinations with one source as (dst, src, delta, row),
+    delta[old][s] being the change of the index when that source reads s,
+    and those with several as (dst, place value, ((src, row), ...))."""
+    add, q = field.add_table, field.q
+    out = []
+    for move in moves:
+        by_dst: dict[int, list] = {}
+        for dst, src, row in move:
+            if dst in live and src in live:
+                by_dst.setdefault(dst, []).append((src, row))
+        singles, multis = [], []
+        for dst, srcs in sorted(by_dst.items()):
+            w = weight[dst]
+            if len(srcs) == 1:
+                (src, row), = srcs
+                delta = tuple(tuple((add[old][row[s]] - old) * w for s in range(q))
+                              for old in range(q))
+                singles.append((dst, src, delta, row))
+            else:
+                multis.append((dst, w, tuple(srcs)))
+        if by_dst:
+            out.append((tuple(singles), tuple(multis)))
+    return out
+
+
+def _sweep(npos: int, free, q: int, moves, field: FieldSpec, fill=None):
+    """Label a whole space of code tuples by orbits, yielding
+    (seed, size, contains) for each orbit.
+
+    The space is every tuple of length npos that is zero off the free
+    positions, or, with fill, every tuple whose free coordinates are
+    arbitrary and whose other coordinates fill(codes) sets in place from
+    them (the moves must then never write those).  A tuple's index is its
+    free coordinates read as base-q digits, first free position most
+    significant, so seeds taken in index order are taken in lexicographic
+    order and each seed is the least element of its orbit.  A bytearray
+    of q^len(free) marks holds the visited tuples.  Each move is grouped
+    by destination (``_index_moves``), so an image's index comes from the
+    source codes, and the image tuple is built only when that index is
+    unvisited.  contains(codes) tells whether a tuple of the space lies in
+    the orbit just yielded; it holds until the sweep resumes."""
+    m = len(free)
+    weight = [0] * npos
+    for k, a in enumerate(free):
+        weight[a] = q ** (m - 1 - k)
+    grouped = _index_moves(moves, weight, range(npos) if fill else set(free), field)
+    add = field.add_table
+    seen = bytearray(q ** m)  # 0 unvisited, 2 in the current orbit, 1 done
+
+    def contains(codes):
+        return seen[sum(codes[a] * weight[a] for a in free)] == 2
+
+    seed = seen.find(0)
+    while seed >= 0:
+        codes, rest = [0] * npos, seed
+        for a in reversed(free):
+            rest, codes[a] = divmod(rest, q)
+        if fill:
+            fill(codes)
+        states, indices = [tuple(codes)], [seed]
+        seen[seed] = 2
+        for codes, i in zip(states, indices):
+            for singles, multis in grouped:
+                j = i
+                for dst, src, delta, _ in singles:
+                    j += delta[codes[dst]][codes[src]]
+                for dst, w, srcs in multis:
+                    old = v = codes[dst]
+                    for src, row in srcs:
+                        s = codes[src]
+                        if s:
+                            v = add[v][row[s]]
+                    j += (v - old) * w
+                if not seen[j]:
+                    seen[j] = 2
+                    out = list(codes)
+                    for dst, src, _, row in singles:
+                        s = codes[src]
+                        if s:
+                            out[dst] = add[codes[dst]][row[s]]
+                    for dst, _, srcs in multis:
+                        v = codes[dst]
+                        for src, row in srcs:
+                            s = codes[src]
+                            if s:
+                                v = add[v][row[s]]
+                        out[dst] = v
+                    states.append(tuple(out))
+                    indices.append(j)
+        yield states[0], len(states), contains
+        for i in indices:
+            seen[i] = 1
+        seed = seen.find(0, seed + 1)
 
 
 def orbit(lam: Functional, mode: str, limit: int | None = None) -> set[Functional]:
@@ -333,14 +457,20 @@ def _pairing_restrict(gram, field: FieldSpec, s_basis, t_basis):
     return tuple(tuple(r) for r in row_reduce(vectors, field))
 
 
+def _gram(lam: Functional):
+    """The bilinear form lam(XY) = sum_{i<k<j} lam_ij X_ik Y_kj as the
+    list of its nonzero entries (pos(i,k), pos(k,j), lam_ij)."""
+    idx = _position_index(lam.n)
+    return [(idx[i, k], idx[k, j], c)
+            for (i, j), c in zip(triangle_positions(lam.n), lam.codes) if c
+            for k in range(i + 1, j)]
+
+
 def ls_chain(lam: Functional) -> ChainResult:
     """Iterate the l/s recursion until both chains stabilize."""
     n, field = lam.n, lam.field
     npos = n * (n - 1) // 2
-    idx = _position_index(n)
-    gram = [(idx[i, k], idx[k, j], c)
-            for (i, j), c in zip(triangle_positions(n), lam.codes) if c
-            for k in range(i + 1, j)]
+    gram = _gram(lam)
     full = tuple(tuple(1 if a == b else 0 for b in range(npos))
                  for a in range(npos))
     l_chain = [()]
@@ -367,6 +497,34 @@ def xi_stats(lam: Functional) -> XiStats:
     return XiStats(npos - l_dim, l_dim == s_dim, l_dim, s_dim)
 
 
+def tangent(lam: Functional) -> tuple[tuple[int, ...], ...]:
+    """Spanning vectors of T_lam = {X -> lam([X, A]) : A in n}, one per
+    basis element e_a of n whose vector is nonzero: the codes of
+    X -> lam([X, e_a]), whose x coordinate is lam([e_x, e_a]).
+
+    The commutators are generic: lam([e_x, e_a]) = lam(e_x e_a) -
+    lam(e_a e_x), read off the Gram form of lam(XY), so an entry
+    (u, w, c) of it adds c to coordinate u of vector w and subtracts c
+    from coordinate w of vector u.  When lam kills n^3, the coadjoint
+    orbit of lam is the affine space lam + T_lam: for g = 1 + A, the
+    terms of g^{-1} X g beyond X + [X, A] lie in n^3."""
+    field = lam.field
+    npos = lam.n * (lam.n - 1) // 2
+    vectors = [[0] * npos for _ in range(npos)]
+    for u, w, c in _gram(lam):
+        vectors[w][u] = field.add_code(vectors[w][u], c)
+        vectors[u][w] = field.sub_code(vectors[u][w], c)
+    return tuple(tuple(v) for v in vectors if any(v))
+
+
+def _in_span(vectors, target, field: FieldSpec) -> bool:
+    """Whether target is a combination of the vectors: one consistency
+    test of the system whose columns are the vectors."""
+    if not vectors:
+        return not any(target)
+    return solve_consistent(list(zip(*vectors)), target, field)
+
+
 # ------------------------------------------------------------------- censuses
 def _translate(codes, t: int, direction, field: FieldSpec) -> tuple[int, ...]:
     return tuple(field.add_code(v, field.mul_code(t, g))
@@ -382,73 +540,84 @@ class _FunctionalOrbit:
     c_invariant: bool
 
 
+def _guard(size: int, limit: int | None, what: str) -> None:
+    """Refuse a space of the given size past the size guard, before any
+    of it is built."""
+    bound = space_limit(limit)
+    if size > bound:
+        raise SpaceTooLarge(bound, size, what)
+
+
+def _census(group: str, n: int, q: int, limit: int | None) -> tuple[_FunctionalOrbit, ...]:
+    """The two-sided census of one group, once its whole space fits."""
+    field_make(q)
+    npos = n * (n - 1) // 2
+    if group == "full":
+        _guard(q ** npos, limit, f"functional space u_{n}(F_{q})*")
+    else:
+        _guard(q ** max(npos - 1, 0), limit, f"h* classes for U_{n}(F_{q})")
+    return _two_sided_census(group, n, q)
+
+
 @lru_cache(maxsize=None)
-def _two_sided_census(group: str, n: int, q: int, bound: int) -> tuple[_FunctionalOrbit, ...]:
+def _two_sided_census(group: str, n: int, q: int) -> tuple[_FunctionalOrbit, ...]:
     """Two-sided orbits of U_n on n* ("full") or of H = ker(sigma) on h*
     ("alternating"), with per-orbit irreducibility (|G lam ∩ lam G| = 1),
     kernel (lam kills n^3) and C-invariance flags.
 
     Functionals agree on h = ker(gamma restricted to the superdiagonal
     sum) exactly when they differ by a multiple of gamma, so h* is
-    swept as the classes of n* modulo gamma, canonicalized by zeroing
-    the (1,2) coordinate, position 0.  The C-invariance flag is left
-    False on h*: C is trivial on h."""
+    swept as the classes of n* modulo gamma, each held by its member
+    with a zero (1,2) coordinate, position 0.  The C-invariance flag is
+    left False on h*: C is trivial on h.  The caller has checked that
+    the whole space fits the size guard, so no orbit needs one."""
     field = field_make(q)
     npos = n * (n - 1) // 2
     gamma_codes = gamma(n, field).codes
     far = [a for a, (i, j) in enumerate(triangle_positions(n)) if j - i >= 3]
     full = group == "full"
     free = range(npos) if full else range(1, npos)
-    size = q ** len(free)
-    if size > bound:
-        what = f"functional space u_{n}(F_{q})*" if full else f"h* classes for U_{n}(F_{q})"
-        raise SpaceTooLarge(bound, size, what)
+    bound = q ** len(free)
     kind = f"orbit in u_{n}(F_{q})*" if full else f"H-orbit in u_{n}(F_{q})* mod gamma"
-    add = field.add_table
-    # subtracting codes[0] times gamma zeroes the (1,2) coordinate
-    canon_move = _compile([(a, 0, field.neg_code(1))
-                           for a, g in enumerate(gamma_codes) if g], field)
-
-    def stepper(mode):
-        step = _stepper(_moves(group, n, q, mode), field)
-        if full:
-            return step
-        return lambda codes: [_apply(c, canon_move, add) if c[0] else c
-                              for c in step(codes)]
-
-    left, right, both = stepper("left"), stepper("right"), stepper("two_sided")
+    left, right = (_stepper(_functional_moves(group, n, q, mode), field)
+                   for mode in ("left", "right"))
     out = []
-    for codes, two_sided in _sweep(_seeds(npos, free, q), both, bound, f"two-sided {kind}"):
+    for codes, size, contains in _sweep(npos, free, q,
+                                        _functional_moves(group, n, q, "two_sided"), field):
         meet = (_bfs(codes, left, bound, f"left {kind}")
                 & _bfs(codes, right, bound, f"right {kind}"))
-        c_inv = full and all(
-            _translate(codes, t, gamma_codes, field) in two_sided for t in range(1, q))
-        out.append(_FunctionalOrbit(codes, len(two_sided), len(meet) == 1,
+        c_inv = full and all(contains(_translate(codes, t, gamma_codes, field))
+                             for t in range(1, q))
+        out.append(_FunctionalOrbit(codes, size, len(meet) == 1,
                                     not any(codes[a] for a in far), c_inv))
     return tuple(out)
 
 
+def _xi(n: int, q: int, limit: int | None) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+    """The coadjoint census of ann(n^3), once its q^(2n-3) points fit."""
+    field_make(q)
+    _guard(q ** max(2 * n - 3, 0), limit, f"kernel-restricted u_{n}(F_{q})*")
+    return _xi_census(n, q)
+
+
 @lru_cache(maxsize=None)
-def _xi_census(n: int, q: int, bound: int) -> tuple[tuple[tuple[int, ...], int, XiStats, bool], ...]:
+def _xi_census(n: int, q: int) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
     """Coadjoint orbits of the functionals killing n^3 (support on the
-    first two superdiagonals), each with its xi statistics and the
-    C-invariance flag lam + t gamma in the orbit for all t."""
+    first two superdiagonals), as (least member, size, C-flag), the
+    C-flag telling whether lam + t gamma lies in the orbit for all t.
+    The xi statistics of an orbit are left to the callers that report
+    them: every orbit here is an affine space lam + T_lam, and its xi is
+    irreducible of degree q^e with |O| = q^{2e}, which the tests check
+    with ls_chain at the default sweep points."""
     field = field_make(q)
     npos = n * (n - 1) // 2
-    seeds = q ** max(2 * n - 3, 0)
-    if seeds > bound:
-        raise SpaceTooLarge(bound, seeds, f"kernel-restricted u_{n}(F_{q})*")
     near = [a for a, (i, j) in enumerate(triangle_positions(n)) if j - i <= 2]
-    step = _stepper(_moves("full", n, q, "coadjoint"), field)
     gamma_codes = gamma(n, field).codes
-    out = []
-    for codes, orb in _sweep(_seeds(npos, near, q), step, bound,
-                             f"coadjoint orbit in u_{n}(F_{q})*"):
-        stats = xi_stats(Functional.from_codes(n, field, codes))
-        c_inv = all(_translate(codes, t, gamma_codes, field) in orb
-                    for t in range(1, q))
-        out.append((codes, len(orb), stats, c_inv))
-    return tuple(out)
+    return tuple(
+        (codes, size, all(contains(_translate(codes, t, gamma_codes, field))
+                          for t in range(1, q)))
+        for codes, size, contains in _sweep(npos, near, q,
+                                            _moves("full", n, q, "coadjoint"), field))
 
 
 def count_supercharacter_families(n: int, q: int, group: str = "full",
@@ -459,7 +628,7 @@ def count_supercharacter_families(n: int, q: int, group: str = "full",
     orbit censuses."""
     if group not in GROUPS:
         raise UnknownFamily(f"unknown group {group!r}")
-    census = _two_sided_census(group, n, q, space_limit(limit))
+    census = _census(group, n, q, limit)
     irr = [o for o in census if o.irreducible]
     return SupercharacterCounts(
         supercharacters=len(census),
@@ -477,7 +646,8 @@ def count_heisenberg_characters(n: int, q: int, method: str = "xi_census",
     1 + n^3 (for the alternating subgroup: of its image in the
     quotient).  xi_census, available for the full group, enumerates the
     coadjoint orbits of functionals killing n^3, keeps those whose xi
-    is irreducible, and also reports the degree-exponent histogram.
+    is irreducible by their l/s chains, and also reports the
+    degree-exponent histogram.
     """
     if method not in HEISENBERG_METHODS:
         raise UnknownFamily(f"unknown method {method!r}")
@@ -490,11 +660,13 @@ def count_heisenberg_characters(n: int, q: int, method: str = "xi_census",
     if group != "full":
         raise UnknownFamily("xi_census covers the full group only; use "
                             "quotient_classes for the alternating subgroup")
-    bound = space_limit(limit)
-    kept = [(codes, stats) for codes, _, stats, _ in _xi_census(n, q, bound)
+    census = _xi(n, q, limit)
+    field = field_make(q)
+    kept = [stats for stats in (xi_stats(Functional.from_codes(n, field, codes))
+                                for codes, _, _ in census)
             if stats.irreducible]
     histogram: dict[int, int] = {}
-    for _, stats in kept:
+    for stats in kept:
         histogram[stats.degree_exponent] = histogram.get(stats.degree_exponent, 0) + 1
     return HeisenbergCount(len(kept), dict(sorted(histogram.items())))
 
@@ -505,15 +677,14 @@ def count_c_invariant(n: int, q: int, kind: str, limit: int | None = None) -> in
 
     Supercharacter kinds apply the two-sided test (lam + t gamma stays
     in the two-sided orbit for every t); heisenberg_characters applies
-    the coadjoint test on the orbits of the xi census.
+    the coadjoint test on the orbits of the xi census, all of which
+    carry an irreducible xi.
     """
     if kind not in C_INVARIANT_KINDS:
         raise UnknownFamily(f"unknown kind {kind!r}")
-    bound = space_limit(limit)
     if kind == "heisenberg_characters":
-        return sum(1 for _, _, stats, c_inv in _xi_census(n, q, bound)
-                   if stats.irreducible and c_inv)
-    census = _two_sided_census("full", n, q, bound)
+        return sum(1 for _, _, c_inv in _xi(n, q, limit) if c_inv)
+    census = _census("full", n, q, limit)
     if kind == "supercharacters":
         return sum(1 for o in census if o.c_invariant)
     if kind == "irreducible_supercharacters":
@@ -526,22 +697,17 @@ def tech_lem1_bruteforce(d: int, q: int, limit: int | None = None) -> int:
     """Count label tuples t in (F_q^x)^{2d} such that the second-
     superdiagonal functional sum t_i e*_{i,i+2} on u_{2d+2}, translated
     by the full superdiagonal sum gamma, stays in its own coadjoint
-    orbit."""
+    orbit.  That orbit is the affine space lam + T_lam (see tangent), so
+    each tuple is one test of gamma in T_lam, and the tuples are
+    refused past the size guard before any is tried."""
     n = 2 * d + 2
     field = field_make(q)
-    bound = space_limit(limit)
-    step = _stepper(_moves("full", n, q, "coadjoint"), field)
+    _guard((q - 1) ** (2 * d), limit, f"label tuples (F_{q}^x)^{2 * d}")
     gamma_codes = gamma(n, field).codes
-    idx = _position_index(n)
     count = 0
     for ts in product(range(1, q), repeat=2 * d):
-        codes = [0] * len(idx)
-        for i, t in enumerate(ts, start=1):
-            codes[idx[i, i + 2]] = t
-        codes = tuple(codes)
-        orb = _bfs(codes, step, bound, f"coadjoint orbit in u_{n}(F_{q})*")
-        if _translate(codes, 1, gamma_codes, field) in orb:
-            count += 1
+        lam = Functional.from_dict(n, field, {(i, i + 2): t for i, t in enumerate(ts, start=1)})
+        count += _in_span(tangent(lam), gamma_codes, field)
     return count
 
 
@@ -565,28 +731,20 @@ def conjugacy_classes(group: str, n: int, q: int,
     if group not in CONJUGACY_GROUPS:
         raise UnknownFamily(f"unknown group {group!r}")
     field = field_make(q)
-    bound = space_limit(limit)
     alternating = group == "truncated_alternating"
     near = _d1_d2(n)
     n1 = max(n - 1, 0)
-    size = q ** (len(near) - (1 if alternating and n1 else 0))
-    if size > bound:
-        raise SpaceTooLarge(bound, size, f"{group} group at (n,q)=({n},{q})")
-    step = _stepper(_moves("alternating" if alternating else "full", n, q, "conjugate"), field)
-    total = 0
+    # in ker(sigma) the last d1 entry is minus the sum of the others
+    free = [a for a in range(len(near)) if not (alternating and a == n1 - 1)]
+    _guard(q ** len(free), limit, f"{group} group at (n,q)=({n},{q})")
 
-    def elements():
-        nonlocal total
-        for d1 in product(range(q), repeat=n1):
-            if alternating and reduce(field.add_code, d1, 0):
-                continue
-            for d2 in product(range(q), repeat=len(near) - n1):
-                total += 1
-                yield d1 + d2
+    def fill(codes):
+        codes[n1 - 1] = field.neg_code(reduce(field.add_code, codes[:n1 - 1], 0))
 
+    moves = _moves("alternating" if alternating else "full", n, q, "conjugate")
     orbits = tuple(
         (UnitriangularElement.from_above(StrictUpperMatrix.from_dict(n, field, dict(zip(near, codes)))),
-         len(cls))
-        for codes, cls in _sweep(elements(), step, bound,
-                                  f"conjugacy class in {group} U_{n}(F_{q})"))
-    return OrbitCensus("conjugacy", orbits, total)
+         size)
+        for codes, size, _ in _sweep(len(near), free, q, moves, field,
+                                     fill if alternating and n1 else None))
+    return OrbitCensus("conjugacy", orbits, q ** len(free))

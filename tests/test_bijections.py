@@ -215,6 +215,22 @@ def test_c_invariant_path_matches_coadjoint_translation(n, q):
         assert is_c_invariant_heis_path(path) == translated, path_to_text(path)
 
 
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2), (5, 3), (4, 4), (4, 5)])
+def test_c_invariant_partition_matches_two_sided_translation(n, q):
+    # partition by partition, not only in total: the arc predicate holds
+    # exactly when lam + t gamma lies in the two-sided orbit of lam for
+    # every t, lam the partition's functional
+    field = gf.field_make(q)
+    gamma = linalg.gamma(n, field).codes
+    for part in enumerate_partitions(n, q, "all"):
+        lam = partition_to_functional(part)
+        orb = {mu.codes for mu in oracle.orbit(lam, "two_sided")}
+        translated = all(
+            tuple(field.add_code(a, field.mul_code(t, g)) for a, g in zip(lam.codes, gamma))
+            in orb for t in range(1, q))
+        assert is_c_invariant_partition(part) == translated, part.arcs
+
+
 def test_invariance_notions_diverge():
     paths = list(enumerate_paths("heis_tilde", 7, 2))
     linear = sum(is_linear_invariant_heis_path(p) for p in paths)

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heischar import checks, cli, combinat, counting
+from heischar import checks, cli, combinat, counting, oracle
 from heischar.checks import CheckCase
 from heischar.cli import parse_int_list, run
 from heischar.errors import DEFAULT_SPACE_LIMIT, SpaceTooLarge
@@ -216,6 +216,75 @@ def test_streamed_enumerate_matches_whole_body(family, n, q, fmt, tmp_path, caps
     target = tmp_path / "out"
     assert invoke(capsys, *argv, "--output", str(target)) == (0, "", "")
     assert target.read_bytes() == expected.encode("utf-8")
+
+
+def whole_body_poly_count(argv):
+    """poly or count output as built before streaming: every result, line
+    and row in memory, one body."""
+    args = cli._build_parser().parse_args(argv)
+    results = []
+    if args.command == "count":
+        pfam = cli.FAMILIES[args.family][2]
+        results = [{"family": args.family, "n": n, "q": q,
+                    "value": counting.poly(pfam, n)(q - 1)}
+                   for n in parse_int_list(args.n) for q in parse_int_list(args.q)]
+        lines = ([str(results[0]["value"])] if len(results) == 1
+                 else [f"{r['n']} {r['q']} {r['value']}" for r in results])
+        fields = ("family", "n", "q", "value")
+        rows = [[r[f] for f in fields] for r in results]
+    else:
+        for n in parse_int_list(args.n):
+            p = counting.poly(args.family, n)
+            entry = {"family": args.family, "n": n}
+            if args.x is None:
+                entry["coefficients"] = list(p.coeffs)
+            else:
+                entry["x"], entry["value"] = args.x, p(args.x)
+            results.append(entry)
+        key = "coefficients" if args.x is None else "value"
+        lines = [str(r[key]) if len(results) == 1 else f"{r['n']} {r[key]}" for r in results]
+        fields = ("family", "n", key) if args.x is None else ("family", "n", "x", "value")
+        rows = [[" ".join(map(str, r[f])) if f == "coefficients" else r[f] for f in fields]
+                for r in results]
+    if args.format == "json":
+        return json.dumps(results[0] if len(results) == 1 else results,
+                          indent=2, sort_keys=True) + "\n"
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([fields, *rows])
+        return buf.getvalue()
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+@pytest.mark.parametrize("argv", [
+    ("poly", "--family", "alt_bell", "--n", "1-40"),
+    ("poly", "--family", "he", "--n", "6"),
+    ("poly", "--family", "del", "--n", "0-12", "--x", "3"),
+    ("poly", "--family", "inv", "--n", "4", "--x", "2"),
+    ("count", "--family", "heis", "--n", "1-12", "--q", "2,3,256"),
+    ("count", "--family", "feasible", "--n", "5", "--q", "4"),
+])
+def test_streamed_poly_and_count_match_whole_body(argv, fmt, tmp_path, capsys):
+    argv = [*argv, "--format", fmt]
+    expected = whole_body_poly_count(argv)
+    assert invoke(capsys, *argv) == (0, expected, "")
+    target = tmp_path / "out"
+    assert invoke(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+@pytest.mark.parametrize("argv,message", [
+    (("count", "--family", "partitions", "--n", "1,2000", "--q", "256"),
+     "Exceeds the limit (4300 digits)"),
+    (("poly", "--family", "alt_he", "--n", "3,1"), "family 'alt_he' is defined for n >= 2"),
+])
+def test_poly_and_count_check_every_value_before_writing(argv, message, fmt, capsys):
+    # the first result would print; a later one cannot, so nothing is written
+    code, out, err = invoke(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("fmt", ("text", "csv", "json"))
@@ -475,12 +544,30 @@ def test_space_guard_exit_3(capsys, monkeypatch):
 def test_orbit_guard_exit_3(capsys, monkeypatch):
     # an orbit outgrowing --limit mid-search exits 3 and names the orbit
     monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    # (the 4 label tuples fit the limit, the 9-point all-ones orbit does not)
     code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", "1", "--q", "3",
-                            "--limit", "2")
+                            "--limit", "4")
     assert code == 3
     assert out == ""
-    assert err == ("error: coadjoint orbit in u_4(F_3)* exceeds the size guard of 2 "
-                   "(needs at least 3); set HEISCHAR_SPACE_LIMIT or raise the limit "
+    assert err == ("error: coadjoint orbit in u_4(F_3)* exceeds the size guard of 4 "
+                   "(needs at least 5); set HEISCHAR_SPACE_LIMIT or raise the limit "
+                   "argument\n")
+
+
+@pytest.mark.parametrize("d,q,limit,tuples", [("5", "9", "3000", 8 ** 10), ("1", "3", "2", 4)])
+def test_tech_lem1_tuple_guard_exits_3_before_any_tuple(d, q, limit, tuples, capsys, monkeypatch):
+    # the (q-1)^{2d} label tuples are refused whole, before the first is tried
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("a label tuple was tried")
+
+    monkeypatch.setattr(oracle, "tangent", refuse)
+    monkeypatch.setattr(oracle, "_bfs", refuse)
+    code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", d, "--q", q, "--limit", limit)
+    assert (code, out) == (3, "")
+    assert err == (f"error: label tuples (F_{q}^x)^{2 * int(d)} exceeds the size guard of "
+                   f"{limit} (needs {tuples}); set HEISCHAR_SPACE_LIMIT or raise the limit "
                    "argument\n")
 
 

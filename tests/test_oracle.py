@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from heischar import bijections, counting, gf, linalg, oracle
+from heischar import bijections, checks, counting, gf, linalg, oracle
 from heischar.bijections import heis_degree_exponent, path_to_functional
 from heischar.combinat import enumerate_partitions, enumerate_paths, partition_to_functional
 from heischar.errors import SpaceTooLarge, UnknownFamily
@@ -349,6 +349,17 @@ def test_alternating_censuses(n, q, expected):
     assert (full - fixed) % q == 0
 
 
+def test_tech_lem1_guard_refuses_the_tuples_unbuilt(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a label tuple was tried")
+
+    monkeypatch.setattr(oracle, "tangent", refuse)
+    with pytest.raises(SpaceTooLarge) as info:
+        tech_lem1_bruteforce(5, 9, limit=3000)
+    assert (info.value.bound, info.value.needed) == (3000, 8 ** 10)
+    assert str(info.value).startswith("label tuples (F_9^x)^10 exceeds the size guard of 3000")
+
+
 def test_tech_lem1_bruteforce_small():
     assert tech_lem1_bruteforce(1, 2) == 1
     assert tech_lem1_bruteforce(1, 3) == 2
@@ -361,3 +372,102 @@ def test_tech_lem1_bruteforce_small():
 def test_tech_lem1_bruteforce_prime_powers(d, q):
     # fields with k > 1, where the generator basis has several elements
     assert tech_lem1_bruteforce(d, q) == counting.tech_lem_count(d, q)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d,q", [(3, 5), (3, 7)])
+def test_tech_lem1_bruteforce_frontier(d, q):
+    count = tech_lem1_bruteforce(d, q)
+    assert count == counting.tech_lem_count(d, q)
+    assert (d, q) != (3, 5) or count == 832
+
+
+# ---------------------------------------------- class-2 orbits as tangent spaces
+def kernel_functionals(n, q):
+    """Every functional killing n^3: any codes on the first two
+    superdiagonals, zero beyond."""
+    field = gf.field_make(q)
+    positions = linalg.triangle_positions(n)
+    near = [a for a, (i, j) in enumerate(positions) if j - i <= 2]
+    for values in itertools.product(range(q), repeat=len(near)):
+        codes = [0] * len(positions)
+        for a, v in zip(near, values):
+            codes[a] = v
+        yield linalg.Functional.from_codes(n, field, tuple(codes))
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
+def test_coadjoint_orbit_is_lambda_plus_tangent_space(n, q):
+    field = gf.field_make(q)
+    for lam in kernel_functionals(n, q):
+        basis = linalg.row_reduce(oracle.tangent(lam), field)
+        span = span_codes(basis, field) if basis else {(0,) * len(lam.codes)}
+        affine = {tuple(field.add_code(a, t) for a, t in zip(lam.codes, vec)) for vec in span}
+        orb = {mu.codes for mu in orbit(lam, "coadjoint")}
+        assert len(orb) == q ** len(basis), lam.codes
+        assert orb == affine, lam.codes
+
+
+@pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (1, 4), (1, 9), (2, 3), (2, 4)])
+def test_tech_lem1_rank_route_matches_bfs_per_tuple(d, q):
+    # gamma in T_lam (one rank test) against lam + gamma in the BFS orbit
+    n = 2 * d + 2
+    field = gf.field_make(q)
+    gam = linalg.gamma(n, field)
+    count = 0
+    for ts in itertools.product(range(1, q), repeat=2 * d):
+        lam = linalg.Functional.from_dict(
+            n, field, {(i, i + 2): t for i, t in enumerate(ts, start=1)})
+        by_rank = oracle._in_span(oracle.tangent(lam), gam.codes, field)
+        assert by_rank == (translate(lam, 1, gam) in orbit(lam, "coadjoint")), ts
+        count += by_rank
+    assert count == tech_lem1_bruteforce(d, q)
+
+
+DEFAULT_POINTS = sorted({(n, q) for name, (ns, qs) in checks.DEFAULT_SWEEPS.items()
+                         if name != "tech-lem1" for n in ns for q in qs})
+
+
+@pytest.mark.parametrize("n,q", DEFAULT_POINTS)
+def test_xi_census_orbits_are_irreducible_affine_spaces(n, q):
+    # what the census no longer computes: every coadjoint orbit killing
+    # n^3 carries an irreducible xi of degree q^e with |O| = q^{2e}, and
+    # its C-flag is gamma in T_lam
+    field = gf.field_make(q)
+    gam = linalg.gamma(n, field).codes
+    census = oracle._xi_census(n, q)
+    assert sum(size for _, size, _ in census) == q ** (2 * n - 3)
+    for codes, size, c_inv in census:
+        lam = linalg.Functional.from_codes(n, field, codes)
+        stats = xi_stats(lam)
+        assert stats.irreducible, codes
+        assert size == q ** (2 * stats.degree_exponent), codes
+        assert c_inv == oracle._in_span(oracle.tangent(lam), gam, field), codes
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [8, 9])
+def test_c_invariant_heisenberg_characters_frontier(n):
+    assert count_c_invariant(n, 2, "heisenberg_characters") == counting.poly("inv", n - 1)(1)
+
+
+def test_census_caches_are_shared_across_limits():
+    # the guard is checked before the cached call, so every limit that
+    # admits the whole space reads one census
+    oracle._two_sided_census.cache_clear()
+    oracle._xi_census.cache_clear()
+    first = count_supercharacter_families(4, 2, limit=64)
+    assert count_supercharacter_families(4, 2, limit=10 ** 6) == first
+    count_c_invariant(4, 2, "supercharacters", limit=100)
+    assert oracle._two_sided_census.cache_info()[:2] == (2, 1)
+    first = count_heisenberg_characters(4, 2, limit=32)
+    assert count_heisenberg_characters(4, 2, limit=1000) == first
+    count_c_invariant(4, 2, "heisenberg_characters", limit=40)
+    assert oracle._xi_census.cache_info()[:2] == (2, 1)
+    # a limit below the whole space still refuses, cached or not
+    with pytest.raises(SpaceTooLarge, match=r"^functional space u_4\(F_2\)\* exceeds "
+                                            r"the size guard of 63 \(needs 64\)"):
+        count_supercharacter_families(4, 2, limit=63)
+    with pytest.raises(SpaceTooLarge, match=r"^kernel-restricted u_4\(F_2\)\* exceeds "
+                                            r"the size guard of 31 \(needs 32\)"):
+        count_heisenberg_characters(4, 2, limit=31)

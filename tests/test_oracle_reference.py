@@ -3,7 +3,8 @@ references: orbits against closures under ``linalg.act``, compiled
 generator moves against the group actions they encode, conjugacy classes
 against conjugation by every group element, the two-sided census flags
 against orbits recomputed from scratch, l/s chains against the
-matrix-product route, and the oracle's import closure."""
+matrix-product route, tangent vectors against matrix commutators, and
+the oracle's import closure."""
 
 import ast
 import itertools
@@ -14,7 +15,6 @@ import pytest
 
 import heischar
 from heischar import checks, gf, linalg, oracle
-from heischar.errors import space_limit
 from heischar.linalg import Functional, StrictUpperMatrix, UnitriangularElement
 
 
@@ -115,6 +115,30 @@ def test_alternating_moves_match_act(q):
                           sampled_functionals(4, q, 6, seed=100 + q), q)
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_h_star_moves_match_act_modulo_gamma(q):
+    # on h*, held by the functionals with a zero (1,2) coordinate, each
+    # composed move is linalg.act by a ker(sigma) generator followed by
+    # lam -> lam - lam_12 gamma
+    field = gf.field_make(q)
+    basis = [field.p ** j for j in range(field.k)]
+    gens = kernel_generators(4, field, basis)
+    gamma = linalg.gamma(4, field).codes
+
+    def canon(mu):
+        return translate(mu, field.neg_code(mu[0]), gamma, field)
+
+    lams = [Functional.from_codes(4, field, canon(lam.codes))
+            for lam in sampled_functionals(4, q, 6, seed=300 + q)]
+    for mode in ("left", "right", "two_sided"):
+        moves = oracle._functional_moves("alternating", 4, q, mode)
+        actions = ("left", "right") if mode == "two_sided" else (mode,)
+        for lam in lams:
+            got = [oracle._apply(lam.codes, m, field.add_table) for m in moves]
+            want = [canon(linalg.act(action, g, lam).codes) for action in actions for g in gens]
+            assert got == want, (lam.codes, mode)
+
+
 # ---------------------------------------------------- conjugacy classes
 def brute_force_classes(elements, conjugate):
     """(least representative, size) of every class, conjugating by every
@@ -208,7 +232,7 @@ def assert_orbit_flags(census_orbit, two_sided, left, right, lam, c_invariant):
 def test_full_census_flags_match_orbits(n, q):
     field = gf.field_make(q)
     gamma = linalg.gamma(n, field).codes
-    census = oracle._two_sided_census("full", n, q, space_limit())
+    census = oracle._two_sided_census("full", n, q)
     assert sum(o.size for o in census) == q ** (n * (n - 1) // 2)
     for o in census:
         lam = Functional.from_codes(n, field, o.rep)
@@ -221,7 +245,7 @@ def test_full_census_flags_match_orbits(n, q):
 @pytest.mark.parametrize("n,q", list(itertools.product(*checks.DEFAULT_SWEEPS["alt-thm"])))
 def test_alternating_census_flags_match_orbits(n, q):
     field = gf.field_make(q)
-    census = oracle._two_sided_census("alternating", n, q, space_limit())
+    census = oracle._two_sided_census("alternating", n, q)
     assert sum(o.size for o in census) == q ** (n * (n - 1) // 2 - 1)
     for o in census:
         two_sided, left, right = (h_orbit(n, o.rep, field, actions) for actions in
@@ -273,6 +297,23 @@ def test_ls_chain_matches_matrix_product_route(n, q, sample):
     for lam in lams:
         chains = oracle.ls_chain(lam)
         assert (chains.l_chain, chains.s_chain) == reference_ls_chain(lam), lam.codes
+
+
+# ------------------------------------------------------- tangent spaces
+@pytest.mark.parametrize("n,q", [(4, 3), (5, 2), (4, 4)])
+def test_tangent_matches_matrix_commutators(n, q):
+    # the vectors X -> lam([X, e_a]), read off the Gram form, against
+    # lam(e_x e_a - e_a e_x) built with matmul
+    field = gf.field_make(q)
+    basis = [StrictUpperMatrix.basis_element(n, field, i, j)
+             for i, j in linalg.triangle_positions(n)]
+    for lam in sampled_functionals(n, q, 6, seed=200 + n * 10 + q):
+        want = []
+        for ea in basis:
+            vec = tuple(lam.evaluate(ex.matmul(ea).add(ea.matmul(ex).neg())) for ex in basis)
+            if any(vec):
+                want.append(vec)
+        assert oracle.tangent(lam) == tuple(want), lam.codes
 
 
 # ---------------------------------------------------------- independence
