@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .combinat import LabeledLatticePath, LabeledSetPartition, enumerate_paths
@@ -195,13 +196,17 @@ def heis_degree_exponent(path: LabeledLatticePath) -> int:
 def heis_degree_histogram(n: int, q: int, limit: int | None = None) -> dict[int, int]:
     """How many paths to x + y = n - 1 (no leading UU) have each degree
     exponent; the count at e equals the number of degree-q^e characters
-    of U_n(F_q) with kernel containing 1 + n^3."""
-    hist = Counter(heis_degree_exponent(p)
-                   for p in enumerate_paths("heis_tilde", n, q, limit))
-    return dict(sorted(hist.items()))
+    of U_n(F_q) with kernel containing 1 + n^3.
+
+    R and U advance the coordinate sum by one, N and UU by two, so a
+    path's span is its number of steps plus its number of N and UU
+    steps: e = span - #steps = n - 1 - #steps for every path counted."""
+    lengths = Counter(len(p.steps) for p in enumerate_paths("heis_tilde", n, q, limit))
+    return dict(sorted((n - 1 - k, count) for k, count in lengths.items()))
 
 
-def _odd_block_translation_solvable(ts, field: FieldSpec) -> bool:
+@lru_cache(maxsize=None)
+def _odd_block_translation_solvable(ts: tuple[int, ...], field: FieldSpec) -> bool:
     """Whether an odd block with superdiagonal labels ts absorbs the
     all-ones superdiagonal translation.
 
@@ -230,18 +235,24 @@ def is_c_invariant_heis_path(path: LabeledLatticePath) -> bool:
 
     Block by block: a 1 x 1 block never absorbs the superdiagonal
     translation, an even block always does, and an odd block does
-    exactly when its tridiagonal system is solvable.
+    exactly when its tridiagonal system is solvable.  The blocks of the
+    path's functional are read off the steps (see functional_to_path):
+    each is a head step R, U or N followed by a run of UU steps.  R or U
+    alone is a 1 x 1 block, a block headed by N is even, and any other
+    block is odd with the labels of its UU run as superdiagonal.
     """
-    lam = path_to_functional(path)
-    witness = classify_functional(lam)
-    for block in witness.blocks:
-        m = len(block)
-        if m == 1:
-            return False
-        if m % 2 == 0:
+    _check_steps(path, HEIS_STEPS, "heis")
+    field = field_make(path.q)
+    blocks = []  # (head step, labels of the UU run after it)
+    for step, labels in path.steps:
+        if step == STEP_UU:
+            blocks[-1][1].extend(labels)
+        else:
+            blocks.append((step, []))
+    for head, ts in blocks:
+        if head == STEP_N:
             continue
-        ts = [block[i][i + 1] for i in range(m - 1)]
-        if not _odd_block_translation_solvable(ts, lam.field):
+        if not ts or not _odd_block_translation_solvable(tuple(ts), field):
             return False
     return True
 

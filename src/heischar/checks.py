@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bijections, combinat, counting, oracle
-from .errors import UnknownFamily
+from .errors import UnknownFamily, guard_space
 from .gf import field_make
 from .linalg import Functional
 
@@ -222,12 +222,43 @@ MIN_INDEX = {"bell-thm": 1, "heis-thm": 1, "del-thm": 1, "deg-cor": 2,
              "alt-thm": 2}
 
 
+# The closed-form spaces that one (n, q) case of each check guards, as
+# (space function, its arguments...) in the order the check meets them, so
+# that each is sized only once those before it fit.  tech-lem1's orbit
+# search is guarded as it runs: its size is what the search finds.
+CHECK_SPACES = {
+    "bell-thm": lambda n, q: ((oracle.census_space, "full", n, q),
+                              (combinat.partition_space, n, q)),
+    "heis-thm": lambda n, q: ((oracle.conjugacy_space, "truncated", n, q),
+                              (oracle.xi_space, n, q),
+                              (combinat.path_space, "heis_tilde", n, q)),
+    "del-thm": lambda n, q: ((oracle.census_space, "full", n, q),
+                             (combinat.path_space, "pell", n, q),
+                             (combinat.partition_space, n, q)),
+    "deg-cor": lambda n, q: ((combinat.path_space, "heis_tilde", n, q),
+                             (oracle.xi_space, n, q)),
+    "fe-thm": lambda n, q: ((combinat.partition_space, n, q),
+                            (oracle.census_space, "full", n, q),
+                            (combinat.partition_space, n - 1, q)),
+    "c-irr-thm": lambda n, q: ((oracle.census_space, "full", n, q),),
+    "c-heis-thm": lambda n, q: ((counting.compositions_space, n - 1),
+                                (oracle.xi_space, n, q),
+                                (combinat.path_space, "heis_tilde", n, q),
+                                (combinat.path_space, "inv_tilde", n - 1, q)),
+    "tech-lem1": lambda d, q: ((oracle.tech_lem1_space, d, q),),
+    "alt-thm": lambda n, q: ((oracle.census_space, "alternating", n, q),
+                             (oracle.conjugacy_space, "truncated_alternating", n, q),
+                             (oracle.census_space, "full", n, q)),
+}
+
+
 def run_check(name: str, ns=None, qs=None, limit: int | None = None) -> list[CheckCase]:
     """All cases of one named check over the (n, q) sweep (defaults per
     check); cases are ordered by (n, q) in input order.  The whole sweep
-    is validated first: an index below the check's domain raises
-    ValueError, a field order that is not a prime power up to 256 the
-    field's error, before any census runs."""
+    is validated first, before any census runs: an index below the
+    check's domain raises ValueError, a field order that is not a prime
+    power up to 256 the field's error, and a space past the size guard
+    SpaceTooLarge, the first one in sweep order."""
     if name not in CHECKS:
         raise UnknownFamily(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     default_ns, default_qs = DEFAULT_SWEEPS[name]
@@ -239,6 +270,10 @@ def run_check(name: str, ns=None, qs=None, limit: int | None = None) -> list[Che
                              f"got {index} = {n}")
     for q in qs:
         field_make(q)
+    for n in ns:
+        for q in qs:
+            for space, *args in CHECK_SPACES[name](n, q):
+                guard_space(space(*args), limit)
     cases = []
     for n in ns:
         for q in qs:

@@ -24,10 +24,10 @@ every (n, q) pair run before the first byte is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
-import math
 import re
 import sys
 from dataclasses import asdict
@@ -106,6 +106,23 @@ def _csv_chunks(rows, fields, per: int):
         yield chunk
 
 
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift the interpreter's int-to-str digit limit (Python 3.11 and
+    later) for the block, so that exact values of any length print, and
+    restore the caller's setting afterwards.  Input is still parsed under
+    the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None) -> None:
     """Write lines (text), payload (json; a one-item list as its item) or rows
     (csv; sequences in the order of fields).
@@ -113,34 +130,23 @@ def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None
     lines and rows may be lazy: text and csv are written lines_per_write
     lines at a time (default a few thousand; one for commands whose lines
     can each be long) as they are produced, while json is written whole.
+    Integers are formatted here, with no limit on their digits.
     """
     per = lines_per_write or _CHUNK
-    if args.format == "json":
-        if isinstance(payload, list) and len(payload) == 1:
-            payload = payload[0]
-        chunks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
-    elif args.format == "csv":
-        chunks = _csv_chunks(rows, fields, per)
-    else:
-        chunks = _text_chunks(lines, per)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
-
-def _check_printable(numbers) -> None:
-    """Raise now, before the first byte, the ValueError that str() raises
-    on an int past the interpreter's digit limit: an int of at most
-    safe_bits bits has fewer digits than that, and only longer ones are
-    converted here."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        safe_bits = int((limit - 1) / math.log10(2))
-        for v in numbers:
-            if v.bit_length() > safe_bits:
-                str(v)
+    with _exact_ints():
+        if args.format == "json":
+            if isinstance(payload, list) and len(payload) == 1:
+                payload = payload[0]
+            chunks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
+        elif args.format == "csv":
+            chunks = _csv_chunks(rows, fields, per)
+        else:
+            chunks = _text_chunks(lines, per)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
 
 
 def _cmd_count(args) -> int:
@@ -148,12 +154,11 @@ def _cmd_count(args) -> int:
     qs = parse_int_list(args.q)
     for q in qs:
         field_make(q)
-    # every value is computed and checked printable before the first byte;
-    # text and csv lines are then formatted as they are written
+    # every value is computed before the first byte; text and csv lines
+    # are then formatted as they are written
     fields = ("family", "n", "q", "value")
     records = [(args.family, n, q, counting.poly(pfam, n)(q - 1))
                for n in parse_int_list(args.n) for q in qs]
-    _check_printable(r[3] for r in records)
     payload = [dict(zip(fields, r)) for r in records] if args.format == "json" else None
     lines = (str(r[3]) if len(records) == 1 else f"{r[1]} {r[2]} {r[3]}" for r in records)
     _emit(args, lines, payload, records, fields, lines_per_write=1)
@@ -161,18 +166,16 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    # every polynomial is built, and every number checked printable, before
-    # the first byte; text and csv lines are then formatted as they are written
+    # every polynomial is built before the first byte; text and csv lines
+    # are then formatted as they are written
     ns = parse_int_list(args.n)
     if args.x is None:
         fields = ("family", "n", "coefficients")
         records = [(args.family, n, list(counting.poly(args.family, n).coeffs)) for n in ns]
-        _check_printable(c for r in records for c in r[2])
         rows = ((family, n, " ".join(map(str, coeffs))) for family, n, coeffs in records)
     else:
         fields = ("family", "n", "x", "value")
         records = [(args.family, n, args.x, counting.poly(args.family, n)(args.x)) for n in ns]
-        _check_printable(r[3] for r in records)
         rows = records
     payload = [dict(zip(fields, r)) for r in records] if args.format == "json" else None
     lines = (str(r[-1]) if len(records) == 1 else f"{r[1]} {r[-1]}" for r in records)
@@ -259,7 +262,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sequences(args) -> int:
     names = [args.name] if args.name else sorted(counting.SEQUENCES)
-    rows, lines = [], []
+    rows = []
     for name in names:
         if name not in counting.SEQUENCES:
             raise ValueError(f"unknown sequence {name!r}; known: "
@@ -268,10 +271,11 @@ def _cmd_sequences(args) -> int:
         values = counting.sequence_values(name, args.count)
         rows.append({"name": name, "oeis": oeis, "description": description,
                      "values": values})
-        lines.append(f"{name} ({oeis}): {' '.join(map(str, values))}"
-                     f"  -- {description}")
-    csv_rows = [(r["name"], r["oeis"], r["description"], " ".join(map(str, r["values"])))
-                for r in rows]
+    # the values are formatted as they are written
+    lines = (f"{r['name']} ({r['oeis']}): {' '.join(map(str, r['values']))}"
+             f"  -- {r['description']}" for r in rows)
+    csv_rows = ((r["name"], r["oeis"], r["description"], " ".join(map(str, r["values"])))
+                for r in rows)
     _emit(args, lines, rows, csv_rows, ("name", "oeis", "description", "values"))
     return 0
 

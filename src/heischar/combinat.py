@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import counting
-from .errors import NotAPartition, SpaceTooLarge, UnknownFamily, space_limit
+from .errors import NotAPartition, Space, UnknownFamily, guard_space
 from .gf import FieldSpec, field_make
 from .linalg import Functional
 
@@ -229,7 +229,10 @@ class LabeledLatticePath:
     """A lattice path with labeled steps.
 
     ``steps`` is a tuple of ((dx, dy), labels) where labels is a tuple of
-    dy nonzero codes of F_q.
+    dy nonzero codes of F_q.  ``LabeledLatticePath(q, steps)`` and
+    ``path_from_text`` check every entry; the enumerators build their
+    paths with ``_unchecked_path`` from entries they checked once, so
+    every path satisfies the same property either way.
     """
 
     q: int
@@ -254,19 +257,34 @@ class LabeledLatticePath:
         return path_to_text(self)
 
 
-def _expected_count(family: str, n: int, q: int) -> int:
-    x = q - 1
-    if family == "pell":
-        return counting.poly("del", n)(x)
-    if family == "heis":
-        return counting.poly("pre_he", n)(x)
-    if family == "heis_tilde":
-        return counting.poly("he", n)(x)
-    if family == "inv":
-        return counting.poly("pre_in", n)(x)
-    if family == "inv_tilde":
-        return counting.poly("inv", n)(x)
-    raise UnknownFamily(f"unknown path family {family!r}")
+def _unchecked_path(q: int, steps: tuple) -> LabeledLatticePath:
+    """A path from entries already checked by _validate_steps, built
+    without running the check again.  The fields go straight into the
+    instance dict, which is where the frozen dataclass's own __init__
+    puts them."""
+    path = object.__new__(LabeledLatticePath)
+    fields = path.__dict__
+    fields["q"] = q
+    fields["steps"] = steps
+    return path
+
+
+# counting polynomial of each path family's stream size, in x = q - 1
+_PATH_POLYS = {"pell": "del", "heis": "pre_he", "heis_tilde": "he",
+               "inv": "pre_in", "inv_tilde": "inv"}
+
+
+def path_space(family: str, n: int, q: int) -> Space:
+    """The family's path stream at (n, q): its counting polynomial at q - 1."""
+    if family not in PATH_FAMILIES:
+        raise UnknownFamily(f"unknown path family {family!r}")
+    return Space(counting.poly(_PATH_POLYS[family], n)(q - 1),
+                 f"path family {family}({n}, F_{q})")
+
+
+def partition_space(n: int, q: int) -> Space:
+    """The labeled set partitions of [n] over F_q, of every filter."""
+    return Space(counting.poly("bell", n)(q - 1), f"partitions of [{n}] over F_{q}")
 
 
 def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
@@ -281,10 +299,7 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
     if family not in PATH_FAMILIES:
         raise UnknownFamily(f"unknown path family {family!r}")
     field_make(q)  # validates q
-    bound = space_limit(limit)
-    expected = _expected_count(family, n, q)
-    if expected > bound:
-        raise SpaceTooLarge(bound, expected, f"path family {family}({n}, F_{q})")
+    guard_space(path_space(family, n, q), limit)
     return _walk_paths(family, n, q)
 
 
@@ -293,7 +308,10 @@ def _walk_paths(family: str, n: int, q: int):
 
     Each coordinate sum ``total`` has a precomputed list of options
     (entry, total after the entry); the first step has its own list,
-    since the tilde families restrict it.
+    since the tilde families restrict it.  The step alphabet is checked
+    once, row by row, before the walk (which also puts the rows' text
+    tokens in the token map); every path is then a tuple of checked
+    entries and is built unchecked.
     """
     if n < 1:
         return
@@ -307,6 +325,8 @@ def _walk_paths(family: str, n: int, q: int):
     rows = {step: [(step, labels) for labels in product(range(1, q), repeat=step[1])]
             for step in STEP_ORDER
             if step in PATH_FAMILIES[family] and step[0] + step[1] <= top}
+    for row in rows.values():
+        _validate_steps(q, row)
 
     def options(total: int, first: bool) -> list:
         out = []
@@ -327,7 +347,7 @@ def _walk_paths(family: str, n: int, q: int):
         for entry, total in stack[-1]:
             acc.append(entry)
             if hit[total]:
-                yield LabeledLatticePath(q, tuple(acc))
+                yield _unchecked_path(q, tuple(acc))
             if total < top:
                 stack.append(iter(later[total]))
                 break
@@ -353,10 +373,7 @@ def enumerate_partitions(n: int, q: int, filter: str = "all",
     if n < 0:
         raise ValueError("n must be >= 0")
     field_make(q)
-    bound = space_limit(limit)
-    expected = counting.poly("bell", n)(q - 1)
-    if expected > bound:
-        raise SpaceTooLarge(bound, expected, f"partitions of [{n}] over F_{q}")
+    guard_space(partition_space(n, q), limit)
     return _walk_partitions(n, q, filter)
 
 

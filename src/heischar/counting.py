@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
 
-from .errors import NonIntegralDivision, SpaceTooLarge, UnknownFamily, space_limit
+from .errors import NonIntegralDivision, Space, UnknownFamily, guard_space
 
 
 def binom(n: int, k: int) -> int:
@@ -440,6 +440,12 @@ def _sin_quarter(m: int) -> int:
     return (0, 1, 0, -1)[m % 4]
 
 
+def compositions_space(n: int) -> Space:
+    """The 2^(n-1) compositions of n that c_invariant_heis_count sums over;
+    the call takes no limit argument."""
+    return Space(2 ** (n - 1), f"summing over the compositions of {n}", takes_limit=False)
+
+
 def c_invariant_heis_count(n: int, q: int, method: str = "compositions") -> int:
     """Number of C-invariant Heisenberg characters of U_{n+1}(F_q),
     which equals In_n(q - 1).
@@ -453,9 +459,7 @@ def c_invariant_heis_count(n: int, q: int, method: str = "compositions") -> int:
         raise ValueError("n must be >= 1")
     x = q - 1
     if method == "compositions":
-        if 2 ** (n - 1) > space_limit():
-            raise SpaceTooLarge(space_limit(), 2 ** (n - 1),
-                                f"summing over the compositions of {n}", limit_arg=False)
+        guard_space(compositions_space(n))
         total = 0
         # compositions of n via subsets of the n-1 gaps
         for cuts in itertools.product((0, 1), repeat=n - 1):

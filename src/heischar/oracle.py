@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 
-from .errors import SpaceTooLarge, UnknownFamily, space_limit
+from .errors import Space, SpaceTooLarge, UnknownFamily, guard_space, space_limit
 from .gf import FieldSpec, field_make
 from .linalg import (Functional, StrictUpperMatrix, UnitriangularElement,
                      _position_index, gamma, group_inv, null_space, row_reduce,
@@ -540,22 +540,37 @@ class _FunctionalOrbit:
     c_invariant: bool
 
 
-def _guard(size: int, limit: int | None, what: str) -> None:
-    """Refuse a space of the given size past the size guard, before any
-    of it is built."""
-    bound = space_limit(limit)
-    if size > bound:
-        raise SpaceTooLarge(bound, size, what)
+# The closed-form spaces behind the size guards; checks.run_check also
+# guards a whole sweep with them before its first case.
+def census_space(group: str, n: int, q: int) -> Space:
+    """The functionals the two-sided census of the group sweeps."""
+    npos = n * (n - 1) // 2
+    if group == "full":
+        return Space(q ** npos, f"functional space u_{n}(F_{q})*")
+    return Space(q ** max(npos - 1, 0), f"h* classes for U_{n}(F_{q})")
+
+
+def xi_space(n: int, q: int) -> Space:
+    """The functionals killing n^3 that the xi census sweeps."""
+    return Space(q ** max(2 * n - 3, 0), f"kernel-restricted u_{n}(F_{q})*")
+
+
+def tech_lem1_space(d: int, q: int) -> Space:
+    """The label tuples tech_lem1_bruteforce tries."""
+    return Space((q - 1) ** (2 * d), f"label tuples (F_{q}^x)^{2 * d}")
+
+
+def conjugacy_space(group: str, n: int, q: int) -> Space:
+    """The group elements modulo 1 + n^3 whose classes conjugacy_classes
+    sweeps; in ker(sigma) one d1 entry is fixed by the others."""
+    free = len(_d1_d2(n)) - (group == "truncated_alternating" and n >= 2)
+    return Space(q ** free, f"{group} group at (n,q)=({n},{q})")
 
 
 def _census(group: str, n: int, q: int, limit: int | None) -> tuple[_FunctionalOrbit, ...]:
     """The two-sided census of one group, once its whole space fits."""
     field_make(q)
-    npos = n * (n - 1) // 2
-    if group == "full":
-        _guard(q ** npos, limit, f"functional space u_{n}(F_{q})*")
-    else:
-        _guard(q ** max(npos - 1, 0), limit, f"h* classes for U_{n}(F_{q})")
+    guard_space(census_space(group, n, q), limit)
     return _two_sided_census(group, n, q)
 
 
@@ -596,7 +611,7 @@ def _two_sided_census(group: str, n: int, q: int) -> tuple[_FunctionalOrbit, ...
 def _xi(n: int, q: int, limit: int | None) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
     """The coadjoint census of ann(n^3), once its q^(2n-3) points fit."""
     field_make(q)
-    _guard(q ** max(2 * n - 3, 0), limit, f"kernel-restricted u_{n}(F_{q})*")
+    guard_space(xi_space(n, q), limit)
     return _xi_census(n, q)
 
 
@@ -702,7 +717,7 @@ def tech_lem1_bruteforce(d: int, q: int, limit: int | None = None) -> int:
     refused past the size guard before any is tried."""
     n = 2 * d + 2
     field = field_make(q)
-    _guard((q - 1) ** (2 * d), limit, f"label tuples (F_{q}^x)^{2 * d}")
+    guard_space(tech_lem1_space(d, q), limit)
     gamma_codes = gamma(n, field).codes
     count = 0
     for ts in product(range(1, q), repeat=2 * d):
@@ -736,7 +751,7 @@ def conjugacy_classes(group: str, n: int, q: int,
     n1 = max(n - 1, 0)
     # in ker(sigma) the last d1 entry is minus the sum of the others
     free = [a for a in range(len(near)) if not (alternating and a == n1 - 1)]
-    _guard(q ** len(free), limit, f"{group} group at (n,q)=({n},{q})")
+    guard_space(conjugacy_space(group, n, q), limit)
 
     def fill(codes):
         codes[n1 - 1] = field.neg_code(reduce(field.add_code, codes[:n1 - 1], 0))

@@ -215,6 +215,45 @@ def test_c_invariant_path_matches_coadjoint_translation(n, q):
         assert is_c_invariant_heis_path(path) == translated, path_to_text(path)
 
 
+def c_flag_by_block_decomposition(path):
+    """The C-flag by the route through the functional: its upper form's
+    block decomposition, then one tridiagonal system per odd block (see
+    _odd_block_translation_solvable)."""
+    lam = path_to_functional(path)
+    field = lam.field
+    for block in classify_functional(lam).blocks:
+        m = len(block)
+        if m == 1:
+            return False
+        if m % 2 == 0:
+            continue
+        ts = [block[i][i + 1] for i in range(m - 1)]
+        rows = [[0] * m for _ in range(m)]
+        for r in range(1, m):
+            rows[r][r - 1] = ts[r - 1]
+            rows[r - 1][r] = field.neg_code(ts[r - 1])
+        if not linalg.solve_consistent(rows, [1] * m, field):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,q", [(6, 3), (7, 2), (5, 4), (5, 8), (5, 9), (6, 5)])
+def test_c_invariant_path_reads_blocks_from_steps(n, q):
+    # path by path, the blocks read off the steps give the flag that the
+    # functional's block decomposition gives; (6, 5) is the first point
+    # where swapping the two labels of a UU step changes some flag
+    flags = [(is_c_invariant_heis_path(p), c_flag_by_block_decomposition(p))
+             for p in enumerate_paths("heis_tilde", n, q)]
+    assert all(a == b for a, b in flags)
+    assert {a for a, _ in flags} == {False, True}
+
+
+@pytest.mark.parametrize("n,q", [(7, 3), (6, 4)])
+def test_degree_exponent_is_span_minus_steps(n, q):
+    for path in enumerate_paths("heis_tilde", n, q):
+        assert heis_degree_exponent(path) == path.span - len(path.steps)
+
+
 @pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2), (5, 3), (4, 4), (4, 5)])
 def test_c_invariant_partition_matches_two_sided_translation(n, q):
     # partition by partition, not only in total: the arc predicate holds

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,8 +279,8 @@ def test_streamed_poly_and_count_match_whole_body(argv, fmt, tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ("text", "csv", "json"))
 @pytest.mark.parametrize("argv,message", [
-    (("count", "--family", "partitions", "--n", "1,2000", "--q", "256"),
-     "Exceeds the limit (4300 digits)"),
+    (("poly", "--family", "alt_del", "--n", "2,0", "--x", "3"),
+     "family 'alt_del' is defined for n >= 1"),
     (("poly", "--family", "alt_he", "--n", "3,1"), "family 'alt_he' is defined for n >= 2"),
 ])
 def test_poly_and_count_check_every_value_before_writing(argv, message, fmt, capsys):
@@ -285,6 +288,36 @@ def test_poly_and_count_check_every_value_before_writing(argv, message, fmt, cap
     code, out, err = invoke(capsys, *argv, "--format", fmt)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+def test_count_prints_values_past_the_digit_limit(fmt, capsys):
+    # about 8,500 digits, past the interpreter's default limit of 4,300;
+    # the caller's own limit is in force again once run returns
+    value = counting.poly("bell", 2000)(255)
+    with int_digit_limit(4400):
+        code, out, err = invoke(capsys, "count", "--family", "partitions", "--n", "2000",
+                                "--q", "256", "--format", fmt)
+        assert sys.get_int_max_str_digits() == 4400
+    assert (code, err) == (0, "")
+    with int_digit_limit(0):
+        if fmt == "json":
+            printed = json.loads(out)["value"]
+        elif fmt == "csv":
+            printed = int(list(csv.reader(io.StringIO(out)))[1][3])
+        else:
+            printed = int(out)
+        assert printed == value
 
 
 @pytest.mark.parametrize("fmt", ("text", "csv", "json"))
@@ -569,6 +602,71 @@ def test_tech_lem1_tuple_guard_exits_3_before_any_tuple(d, q, limit, tuples, cap
     assert err == (f"error: label tuples (F_{q}^x)^{2 * int(d)} exceeds the size guard of "
                    f"{limit} (needs {tuples}); set HEISCHAR_SPACE_LIMIT or raise the limit "
                    "argument\n")
+
+
+def test_tech_lem1_sweep_guards_every_d_before_the_first(capsys, monkeypatch):
+    # d = 1 and d = 2 fit, d = 3's 4^6 label tuples do not: nothing is tried
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("a case was computed")
+
+    monkeypatch.setattr(oracle, "tangent", refuse)
+    monkeypatch.setattr(oracle, "_bfs", refuse)
+    code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", "1-3", "--q", "5",
+                            "--limit", "3000")
+    assert (code, out) == (3, "")
+    assert err == ("error: label tuples (F_5^x)^6 exceeds the size guard of 3000 "
+                   "(needs 4096); set HEISCHAR_SPACE_LIMIT or raise the limit argument\n")
+
+
+@pytest.mark.parametrize("above,q", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("name", sorted(checks.CHECKS))
+def test_sweep_guard_trips_where_the_cases_would(name, above, q, monkeypatch):
+    # at every limit just below one of a case's spaces, the sweep's guard
+    # raises the very error the case itself would raise first; with room
+    # for the largest, the case meets no closed-form guard it did not name
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    n = checks.MIN_INDEX[name] + above
+    sizes = {space(*args).size for space, *args in checks.CHECK_SPACES[name](n, q)}
+    for limit in sorted({0} | {size - 1 for size in sizes if size}):
+        with pytest.raises(SpaceTooLarge) as swept:
+            checks.run_check(name, [n], [q], limit)
+        if name == "tech-lem1":  # its orbit search would trip first
+            assert str(swept.value) == str(SpaceTooLarge(
+                limit, (q - 1) ** (2 * n), f"label tuples (F_{q}^x)^{2 * n}"))
+            continue
+        with pytest.raises(SpaceTooLarge) as case:
+            checks.CHECKS[name](n, q, limit)
+        assert str(swept.value) == str(case.value)
+    if name != "tech-lem1":
+        assert all(c.passed for c in checks.CHECKS[name](n, q, max(sizes)))
+
+
+def test_sweep_guard_sizes_later_spaces_only_when_earlier_fit(monkeypatch):
+    # the census of U_40 trips before the partitions of [40] are counted
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    counted, partition_space = [], combinat.partition_space
+    monkeypatch.setattr(combinat, "partition_space",
+                        lambda n, q: counted.append(n) or partition_space(n, q))
+    with pytest.raises(SpaceTooLarge, match="functional space u_40"):
+        checks.run_check("bell-thm", [40], [2])
+    assert counted == []
+
+
+def test_python_m_heischar():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-S", "-m", "heischar", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    proc = module_run("count", "--family", "heis", "--n", "5", "--q", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "38\n", "")
+    proc = module_run("count", "--family", "heis", "--n", "5", "--q", "6")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "6 is not a prime power" in proc.stderr
 
 
 def test_main_raises_system_exit(monkeypatch, capsys):

@@ -21,9 +21,8 @@ from heischar.combinat import (
     path_from_text,
     path_to_text,
     shift,
-    space_limit,
 )
-from heischar.errors import NotAPartition, SpaceTooLarge, UnknownFamily
+from heischar.errors import NotAPartition, SpaceTooLarge, UnknownFamily, space_limit
 
 STEP_INDEX = {step: k for k, step in enumerate(combinat.STEP_ORDER)}
 
@@ -353,6 +352,19 @@ def test_path_text_at_the_largest_field():
     assert path_to_text(path) == "R UU(255,1) N(17) U(3)"
     with pytest.raises(ValueError, match="label 256 is not a nonzero code of F_256"):
         path_from_text("U(256)", 256)
+
+
+@pytest.mark.parametrize("family", sorted(combinat.PATH_FAMILIES))
+def test_walked_paths_equal_checked_paths(family):
+    # the walker builds its paths unchecked from entries it checked once;
+    # each equals, and hashes like, the path the full check builds
+    for q in (2, 3, 4, 9):
+        for n in range(1, 7):
+            paths = list(enumerate_paths(family, n, q))
+            checked = [LabeledLatticePath(q, p.steps) for p in paths]
+            assert {type(p) for p in paths} <= {LabeledLatticePath}
+            assert paths == checked
+            assert list(map(hash, paths)) == list(map(hash, checked))
 
 
 def test_token_map_holds_only_the_entries_used():
