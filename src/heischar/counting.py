@@ -451,35 +451,32 @@ def c_invariant_heis_count(n: int, q: int, method: str = "compositions") -> int:
     which equals In_n(q - 1).
 
     method "compositions" sums, over compositions (c_1, ..., c_l) of n,
-    the product of (q-1)^{c_i - 1} - sin(c_i pi/2) (q-1)^{(c_i - 1)/2},
-    with the sine taken exactly by residue mod 4; method "recurrence"
-    evaluates In_n at x = q - 1 via In_m = x In_{m-1} + x(x+1) In_{m-3}.
+    the product of the part terms (q-1)^{c - 1} - sin(c pi/2) (q-1)^{(c - 1)/2},
+    with the sine taken exactly by residue mod 4.  The terms are tabulated
+    once, and a depth-first walk extends only prefixes whose product is
+    nonzero: a part of size 1 never contributes, and at q = 2 neither does
+    a part of size 1 mod 4.  The size guard still counts all 2^(n-1)
+    compositions.  Method "recurrence" evaluates In_n at x = q - 1 via
+    In_m = x In_{m-1} + x(x+1) In_{m-3}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     x = q - 1
     if method == "compositions":
         guard_space(compositions_space(n))
+        parts = [(c, term) for c in range(1, n + 1)
+                 if (term := x ** (c - 1) - _sin_quarter(c) * x ** ((c - 1) // 2))]
         total = 0
-        # compositions of n via subsets of the n-1 gaps
-        for cuts in itertools.product((0, 1), repeat=n - 1):
-            parts = []
-            size = 1
-            for cut in cuts:
-                if cut:
-                    parts.append(size)
-                    size = 1
-                else:
-                    size += 1
-            parts.append(size)
-            prod = 1
-            for c in parts:
-                s = _sin_quarter(c)
-                term = x ** (c - 1) - (s * x ** ((c - 1) // 2) if s else 0)
-                prod *= term
-                if prod == 0:
+        stack = [(n, 1)]  # (remaining size, product of the prefix's terms)
+        while stack:
+            rest, prod = stack.pop()
+            for c, term in parts:
+                if c > rest:
                     break
-            total += prod
+                if c == rest:
+                    total += prod * term
+                else:
+                    stack.append((rest - c, prod * term))
         return total
     if method == "recurrence":
         vals = {0: 0, 1: 0, 2: x, 3: x * (x + 1)}

@@ -1,5 +1,6 @@
 """Counting polynomials, closed forms, recurrences and named sequences."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -420,13 +421,47 @@ def test_degree_count_sums_to_he():
         assert total == poly("he", n)
 
 
+C_INVARIANT_QS = (2, 3, 4, 5, 7, 8, 9, 16, 256)
+
+
+def _compositions_by_product(n, q):
+    """Every composition of n from a subset of its n-1 gaps, each product
+    built in full: the slow reference for the pruned walk."""
+    x = q - 1
+    total = 0
+    for cuts in itertools.product((0, 1), repeat=n - 1):
+        parts = []
+        size = 1
+        for cut in cuts:
+            if cut:
+                parts.append(size)
+                size = 1
+            else:
+                size += 1
+        parts.append(size)
+        prod = 1
+        for c in parts:
+            s = (0, 1, 0, -1)[c % 4]
+            prod *= x ** (c - 1) - (s * x ** ((c - 1) // 2) if s else 0)
+            if prod == 0:
+                break
+        total += prod
+    return total
+
+
+def test_c_invariant_compositions_match_product_enumeration():
+    for q in C_INVARIANT_QS:
+        for n in range(1, 15):
+            assert c_invariant_heis_count(n, q) == _compositions_by_product(n, q), (n, q)
+
+
 def test_c_invariant_heis_count():
-    for q in (2, 3, 4, 5):
+    for q in C_INVARIANT_QS:
         x = q - 1
         assert c_invariant_heis_count(1, q) == 0
         assert c_invariant_heis_count(2, q) == x
         assert c_invariant_heis_count(3, q) == x * (x + 1)
-        for n in range(1, 11):
+        for n in range(1, 25):
             both = {c_invariant_heis_count(n, q, m)
                     for m in ("compositions", "recurrence")}
             assert both == {poly("inv", n)(x)}, (n, q)
