@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .combinat import LabeledLatticePath, LabeledSetPartition, enumerate_paths
+from .combinat import LabeledLatticePath, LabeledSetPartition, path_blocks
 from .errors import NotClassX, NotInFamily
 from .gf import FieldSpec, field_make
 from .linalg import Functional, block_decomposition, solve_consistent
@@ -139,8 +139,11 @@ def functional_to_path(lam: Functional) -> LabeledLatticePath:
     """The inverse of path_to_functional on class-X functionals.
 
     Raises NotClassX (carrying the block index) when some block of the
-    upper form of lambda has no valid type.
+    upper form of lambda has no valid type, and ValueError on u_0, which
+    no path maps to (the empty path is the path of u_1).
     """
+    if lam.n < 1:
+        raise ValueError(f"no path maps to a functional on u_{lam.n}; n must be >= 1")
     witness = classify_functional(lam)
     if witness.offending_block is not None:
         raise NotClassX(witness.offending_block)
@@ -200,8 +203,18 @@ def heis_degree_histogram(n: int, q: int, limit: int | None = None) -> dict[int,
 
     R and U advance the coordinate sum by one, N and UU by two, so a
     path's span is its number of steps plus its number of N and UU
-    steps: e = span - #steps = n - 1 - #steps for every path counted."""
-    lengths = Counter(len(p.steps) for p in enumerate_paths("heis_tilde", n, q, limit))
+    steps: e = span - #steps = n - 1 - #steps for every path counted.
+    The paths are read as the blocks of path_blocks, whose checks and
+    size guard run here: each block adds the tail lengths of its suffix
+    table, counted once per table, shifted by its prefix length."""
+    lengths, per_table = Counter(), {}
+    for prefix, (tails, _) in path_blocks("heis_tilde", n, q, limit):
+        # tables are shared between blocks and live as long as the walk
+        counts = per_table.get(id(tails))
+        if counts is None:
+            counts = per_table[id(tails)] = Counter(map(len, tails))
+        for k, count in counts.items():
+            lengths[len(prefix) + k] += count
     return dict(sorted((n - 1 - k, count) for k, count in lengths.items()))
 
 

@@ -11,8 +11,10 @@ sequences   the named integer sequences with their catalogue tags
 
 Output formats are text (default), json and csv; identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 failed
-verification, 2 usage or data errors, 3 when a size guard would be
-exceeded (see HEISCHAR_SPACE_LIMIT).
+verification, 2 usage or data errors (an unwritable --output among them),
+3 when a size guard would be exceeded (see HEISCHAR_SPACE_LIMIT), 141 when
+the reader of stdout closes it early (as in ``heischar enumerate ... |
+head``), which ends the output quietly.
 
 ``count`` evaluates polynomials while ``enumerate`` streams the actual
 objects, so piping ``enumerate`` through a line count and comparing with
@@ -28,11 +30,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from . import bijections, checks, combinat, counting
@@ -51,6 +54,9 @@ FAMILIES = {
     "noncrossing": ("partitions", "noncrossing", "cat"),
     "feasible": ("partitions", "feasible", "fe"),
 }
+
+# exit code when stdout is closed early, as a shell reports SIGPIPE (128 + 13)
+EXIT_CLOSED_PIPE = 141
 
 MAP_OPS = ("path-to-functional", "functional-to-path", "path-to-partition",
            "partition-to-functional", "classify")
@@ -92,8 +98,8 @@ _CHUNK = 4096  # lines per write when text and csv are streamed
 
 def _text_chunks(lines, per: int):
     lines = iter(lines)
-    while chunk := "".join([line + "\n" for line in islice(lines, per)]):
-        yield chunk
+    while batch := list(islice(lines, per)):
+        yield "\n".join(batch) + "\n"
 
 
 def _csv_chunks(rows, fields, per: int):
@@ -143,7 +149,11 @@ def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None
         else:
             chunks = _text_chunks(lines, per)
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            try:
+                fh = open(args.output, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.output!r}: {exc.strerror or exc}") from None
+            with fh:
                 fh.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
@@ -188,20 +198,23 @@ def _cmd_enumerate(args) -> int:
     qs = parse_int_list(args.q)
     # every family, field and size check runs here, before the first byte
     if kind == "paths":
-        to_text = combinat.path_to_text
-        walk = partial(combinat.enumerate_paths, efam, limit=args.limit)
+        texts = partial(combinat.enumerate_path_texts, efam, limit=args.limit)
     else:
-        to_text = combinat.partition_to_text
-        walk = partial(combinat.enumerate_partitions, filter=efam, limit=args.limit)
-    streams = [(n, q, walk(n, q)) for n in parse_int_list(args.n) for q in qs]
+        def texts(n, q):
+            return map(combinat.partition_to_text,
+                       combinat.enumerate_partitions(n, q, efam, args.limit))
+    streams = [(n, q, texts(n, q)) for n in parse_int_list(args.n) for q in qs]
     if args.format == "json":
-        blocks = [{"family": args.family, "n": n, "q": q, "items": list(map(to_text, items))}
+        blocks = [{"family": args.family, "n": n, "q": q, "items": list(items)}
                   for n, q, items in streams]
         _emit(args, (), blocks, (), ())
+    elif args.format == "csv":
+        rows = chain.from_iterable(
+            zip(repeat(args.family), repeat(str(n)), repeat(str(q)), items)
+            for n, q, items in streams)
+        _emit(args, (), None, rows, ("family", "n", "q", "item"))
     else:
-        lines = (to_text(item) for _, _, items in streams for item in items)
-        rows = ((args.family, n, q, to_text(item)) for n, q, items in streams for item in items)
-        _emit(args, lines, None, rows, ("family", "n", "q", "item"))
+        _emit(args, chain.from_iterable(items for _, _, items in streams), None, (), ())
     return 0
 
 
@@ -353,13 +366,23 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that has gone shows up here, not at shutdown
+        return code
     except SpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull, so that
+        # the flush at shutdown neither fails nor reports that it failed
+        with contextlib.suppress(AttributeError, ValueError, OSError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 def main() -> None:

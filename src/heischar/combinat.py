@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import chain, product
 
 from . import counting
 from .errors import NotAPartition, Space, UnknownFamily, guard_space
@@ -96,6 +97,13 @@ def _validate_steps(q, steps) -> None:
         _check_labels(q, labels)
         if type(labels) is tuple and all(type(t) is int for t in labels):
             tokens[entry] = _token(entry)
+
+
+def _token_lookup(q):
+    """The token of an entry checked by _validate_steps over F_q: a lookup
+    in q's token map where there is one."""
+    tokens = _TOKENS.get(q) if type(q) is int else None
+    return _token if tokens is None else tokens.__getitem__
 
 
 @dataclass(frozen=True)
@@ -296,6 +304,30 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
     are checked when this is called, before the first path; SpaceTooLarge
     carries the bound.
     """
+    make = partial(_unchecked_path, q)
+    return chain.from_iterable(map(make, map(prefix.__add__, tails))
+                               for prefix, (tails, _) in path_blocks(family, n, q, limit))
+
+
+def enumerate_path_texts(family: str, n: int, q: int, limit: int | None = None):
+    """path_to_text of every path of enumerate_paths, in its order and with
+    its checks at the call, without building the paths."""
+    def head(prefix) -> str:
+        # only the origin's own block has an empty prefix: the empty path
+        return " ".join(map(_token_lookup(q), prefix)) or "-"
+    return chain.from_iterable(map(head(prefix).__add__, texts)
+                               for prefix, (_, texts) in path_blocks(family, n, q, limit))
+
+
+def path_blocks(family: str, n: int, q: int, limit: int | None = None):
+    """The family's paths as blocks (prefix, (tails, texts)), with the
+    checks of enumerate_paths at the call.
+
+    A block stands for the paths prefix + tail, tail in tails, in stream
+    order; texts[i] is the text tails[i] appends to the prefix's text (""
+    or " " followed by its tokens).  Blocks share their tables, which
+    must not be changed.
+    """
     if family not in PATH_FAMILIES:
         raise UnknownFamily(f"unknown path family {family!r}")
     field_make(q)  # validates q
@@ -303,15 +335,28 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
     return _walk_paths(family, n, q)
 
 
+# most tails a suffix table holds; a coordinate sum with more completions
+# is walked one step further as prefixes instead
+_TABLE_CAP = 4096
+
+
 def _walk_paths(family: str, n: int, q: int):
-    """Depth-first walk over the family's paths with an explicit stack.
+    """The blocks of path_blocks, once its checks have passed.
 
     Each coordinate sum ``total`` has a precomputed list of options
     (entry, total after the entry); the first step has its own list,
-    since the tilde families restrict it.  The step alphabet is checked
-    once, row by row, before the walk (which also puts the rows' text
-    tokens in the token map); every path is then a tuple of checked
-    entries and is built unchecked.
+    since the tilde families restrict it.  The suffix table of a total
+    lists its completions in stream order: the empty tail when the total
+    lies on a target line, then, option by option, the entry followed by
+    each tail of the total after it.  Tables are built from the target
+    line back toward the origin, for every total with at most _TABLE_CAP
+    completions; the prefixes are then walked depth first with an
+    explicit stack, and a prefix reaching a total with a table is yielded
+    with that table as one block.  A prefix on a target line whose total
+    has no table is yielded alone, then extended.  The step alphabet is
+    checked once, row by row, before the walk (which also puts the rows'
+    text tokens in the token map); every path is then a tuple of checked
+    entries.
     """
     if n < 1:
         return
@@ -320,13 +365,12 @@ def _walk_paths(family: str, n: int, q: int):
     else:
         targets = {n - 1}
     top = max(targets, default=0)
-    if 0 in targets:
-        yield LabeledLatticePath(q, ())  # the empty path, for families that allow n = 1
     rows = {step: [(step, labels) for labels in product(range(1, q), repeat=step[1])]
             for step in STEP_ORDER
             if step in PATH_FAMILIES[family] and step[0] + step[1] <= top}
     for row in rows.values():
         _validate_steps(q, row)
+    token = _token_lookup(q)
 
     def options(total: int, first: bool) -> list:
         out = []
@@ -340,18 +384,36 @@ def _walk_paths(family: str, n: int, q: int):
                 out.extend((entry, after) for entry in row)
         return out
 
-    later = [options(total, False) for total in range(top)]
+    later = [options(total, False) for total in range(top + 1)]
     hit = [total in targets for total in range(top + 1)]
+    # a total has at least as many completions as every total it reaches,
+    # so a total under the cap finds the tables it is built from
+    sizes, tables = [0] * (top + 1), [None] * (top + 1)
+    for total in range(top, 0, -1):
+        sizes[total] = hit[total] + sum(sizes[after] for _, after in later[total])
+        if sizes[total] <= _TABLE_CAP:
+            tails, texts = ([()], [""]) if hit[total] else ([], [])
+            for entry, after in later[total]:
+                after_tails, after_texts = tables[after]
+                tails.extend(map((entry,).__add__, after_tails))
+                texts.extend(map((" " + token(entry)).__add__, after_texts))
+            tables[total] = (tails, texts)
+
+    alone = ([()], [""])
+    if hit[0]:
+        yield (), alone  # the empty path, for families that allow n = 1
     acc, stack = [], [iter(options(0, True))]
     while stack:
         for entry, total in stack[-1]:
             acc.append(entry)
+            if tables[total] is not None:
+                yield tuple(acc), tables[total]
+                acc.pop()
+                continue
             if hit[total]:
-                yield _unchecked_path(q, tuple(acc))
-            if total < top:
-                stack.append(iter(later[total]))
-                break
-            acc.pop()
+                yield tuple(acc), alone
+            stack.append(iter(later[total]))
+            break
         else:
             stack.pop()
             if acc:
@@ -456,7 +518,10 @@ def partition_from_text(text: str, n: int, q: int) -> LabeledSetPartition:
             raise ValueError(f"cannot parse partition text {text!r}")
         pos, _, label = spec.partition(":")
         i, _, j = pos.partition("-")
-        arcs.append((int(i), int(j), int(label)))
+        try:
+            arcs.append((int(i), int(j), int(label)))
+        except ValueError:
+            raise ValueError(f"cannot parse partition text {text!r}") from None
     if 2 * len(arcs) != len(tokens):
         raise ValueError(f"cannot parse partition text {text!r}")
     return LabeledSetPartition(n, q, tuple(sorted(arcs)))

@@ -1,8 +1,10 @@
 """Path/functional/partition translations and invariance predicates."""
 
+from collections import Counter
+
 import pytest
 
-from heischar import bijections, counting, gf, linalg, oracle
+from heischar import bijections, combinat, counting, gf, linalg, oracle
 from heischar.bijections import (
     CLASS_X,
     CLASS_Y,
@@ -27,7 +29,7 @@ from heischar.combinat import (
     path_to_text,
     shift,
 )
-from heischar.errors import NotClassX, NotInFamily
+from heischar.errors import NotClassX, NotInFamily, SpaceTooLarge
 
 F2 = gf.field_make(2)
 F3 = gf.field_make(3)
@@ -170,6 +172,34 @@ def test_degree_histograms_pinned():
         for e, count in hist.items():
             assert counting.degree_count(n, e, q=q) == count
         assert sum(hist.values()) == counting.poly("he", n)(q - 1)
+
+
+@pytest.mark.parametrize("cap", (0, 1, 7, combinat._TABLE_CAP))
+def test_degree_histogram_counts_every_path(cap, monkeypatch):
+    # the per-table counts of tail lengths, shifted per block, add up to the
+    # per-path count, whether the paths come from prefixes or tables
+    monkeypatch.setattr(combinat, "_TABLE_CAP", cap)
+    for n, q in [(n, 2) for n in range(1, 11)] + [(n, 3) for n in range(1, 8)] \
+            + [(n, q) for n in range(1, 5) for q in (4, 5, 8, 9)]:
+        per_path = Counter(heis_degree_exponent(p) for p in enumerate_paths("heis_tilde", n, q))
+        assert heis_degree_histogram(n, q) == dict(sorted(per_path.items())), (n, q)
+
+
+def test_degree_histogram_keeps_its_guard(monkeypatch):
+    size = counting.poly("he", 8)(2)
+    with pytest.raises(SpaceTooLarge) as info:
+        heis_degree_histogram(8, 3, limit=size - 1)
+    assert (info.value.bound, info.value.needed) == (size - 1, size)
+    assert sum(heis_degree_histogram(8, 3, limit=size).values()) == size
+    monkeypatch.setenv("HEISCHAR_SPACE_LIMIT", str(size - 1))
+    with pytest.raises(SpaceTooLarge):
+        heis_degree_histogram(8, 3)
+
+
+def test_functional_to_path_refuses_u0():
+    with pytest.raises(ValueError, match="u_0"):
+        functional_to_path(linalg.Functional.zero(0, F2))
+    assert functional_to_path(linalg.Functional.zero(1, F2)).steps == ()
 
 
 # ------------------------------------------------------ invariance predicates

@@ -107,6 +107,20 @@ def test_map_operations(capsys):
     assert (code, out) == (0, "neither\n")
 
 
+def test_functional_to_path_refuses_u0(capsys):
+    # "-" is the path of u_1, so u_0 has none
+    assert invoke(capsys, "map", "path-to-functional", "-", "--q", "2") == (0, "1 2\n", "")
+    assert invoke(capsys, "map", "functional-to-path", "1 2") == (0, "-\n", "")
+    assert invoke(capsys, "map", "functional-to-path", "0 2") == (
+        2, "", "error: no path maps to a functional on u_0; n must be >= 1\n")
+
+
+@pytest.mark.parametrize("text", ("arc 1-2", "arc 1-2:", "arc -2:1", "arc 1-x:1", "arc 1-2:1 arc"))
+def test_malformed_arc_is_named(text, capsys):
+    assert invoke(capsys, "map", "partition-to-functional", text, "--n", "3", "--q", "2") \
+        == (2, "", f"error: cannot parse partition text {text!r}\n")
+
+
 def test_map_requires_context_flags(capsys):
     code, _, err = invoke(capsys, "map", "path-to-functional", "R N(1)")
     assert code == 2
@@ -171,6 +185,51 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+_EVERY_SUBCOMMAND = [
+    ("count", "--family", "heis", "--n", "3", "--q", "2"),
+    ("poly", "--family", "he", "--n", "3"),
+    ("enumerate", "--family", "heis", "--n", "3", "--q", "2"),
+    ("map", "functional-to-path", "3 2 1 0 0"),
+    ("verify", "heis-thm", "--n", "3", "--q", "2"),
+    ("sequences", "--count", "3"),
+]
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2(argv, fmt, tmp_path, capsys):
+    # a missing directory or a directory as the target: exit 2, one error
+    # line, no file made
+    missing = tmp_path / "missing" / "out.txt"
+    assert invoke(capsys, *argv, "--format", fmt, "--output", str(missing)) == (
+        2, "", f"error: cannot write {str(missing)!r}: No such file or directory\n")
+    assert not missing.parent.exists()
+    assert invoke(capsys, *argv, "--format", fmt, "--output", str(tmp_path)) == (
+        2, "", f"error: cannot write {str(tmp_path)!r}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,first", [
+    (("enumerate", "--family", "heis", "--n", "10", "--q", "3"), b"R R R R R R R R R\n"),
+    (("count", "--family", "heis", "--n", "5", "--q", "2"), None),  # closed before it writes
+])
+def test_closed_reader_ends_quietly(argv, first):
+    # the reader takes the first line, or nothing, and closes the pipe: no
+    # traceback, no report at shutdown, and the documented exit code; stdout
+    # is block-buffered, as it is by default on a pipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-S", "-m", "heischar", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**env, "PYTHONPATH": src}) as proc:
+        if first is not None:
+            assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_CLOSED_PIPE == 141
+    assert err == b""
+
+
 # -------------------------------------------------------------------- verify
 def whole_body_enumerate(argv):
     """The enumerate output as built before streaming: every item in memory,
@@ -215,10 +274,15 @@ def test_streamed_enumerate_matches_whole_body(family, n, q, fmt, tmp_path, caps
     monkeypatch.setattr(cli, "_CHUNK", 7)  # many chunks even on small streams
     argv = ["enumerate", "--family", family, "--n", n, "--q", q, "--format", fmt]
     expected = whole_body_enumerate(argv)
-    assert invoke(capsys, *argv) == (0, expected, "")
-    target = tmp_path / "out"
-    assert invoke(capsys, *argv, "--output", str(target)) == (0, "", "")
-    assert target.read_bytes() == expected.encode("utf-8")
+    # the path walker's table cap is one more parameter, looped here so that
+    # the test ids stay those of the cases: below the default cap of a few
+    # thousand tails, paths come from both prefixes and suffix tables
+    for cap in (combinat._TABLE_CAP, 0, 1, 7):
+        monkeypatch.setattr(combinat, "_TABLE_CAP", cap)
+        assert invoke(capsys, *argv) == (0, expected, ""), cap
+        target = tmp_path / f"out{cap}"
+        assert invoke(capsys, *argv, "--output", str(target)) == (0, "", ""), cap
+        assert target.read_bytes() == expected.encode("utf-8"), cap
 
 
 def whole_body_poly_count(argv):

@@ -256,6 +256,55 @@ def test_path_stream_matches_recursive_reference(family, q):
             == list(reference_paths(family, n, q)), (family, n, q)
 
 
+def reference_text(steps):
+    """A path's text built from its steps alone, without the token map."""
+    return " ".join(combinat.STEP_NAMES[step] + (f"({','.join(map(str, labels))})"
+                                                 if labels else "")
+                    for step, labels in steps) or "-"
+
+
+# every (family, n <= 8, q) below with at most this many paths
+_BLOCK_CASES = [(family, n, q) for family in sorted(combinat.PATH_FAMILIES)
+                for q in (2, 3, 4, 5, 8, 9) for n in range(0, 9)
+                if combinat.path_space(family, n, q).size <= 20000]
+
+
+@pytest.mark.parametrize("family", sorted(combinat.PATH_FAMILIES))
+@pytest.mark.parametrize("cap", (0, 1, 7))
+def test_block_walker_matches_recursive_reference(family, cap, monkeypatch):
+    # small caps leave the long completions to the prefix walk, so both
+    # the prefix walk and the suffix tables (cap 0: none at all) run
+    monkeypatch.setattr(combinat, "_TABLE_CAP", cap)
+    cases = [(n, q) for fam, n, q in _BLOCK_CASES if fam == family]
+    assert {q for _, q in cases} == {2, 3, 4, 5, 8, 9}
+    for n, q in cases:
+        expected = list(reference_paths(family, n, q))
+        assert [p.steps for p in enumerate_paths(family, n, q)] == expected, (n, q)
+        assert list(combinat.enumerate_path_texts(family, n, q)) \
+            == list(map(reference_text, expected)), (n, q)
+
+
+def test_block_walker_reads_long_streams_in_blocks(monkeypatch):
+    # past the cap, a path stream arrives as several blocks whose tables
+    # hold at most the cap's number of tails and are shared between blocks
+    monkeypatch.setattr(combinat, "_TABLE_CAP", 7)
+    blocks = list(combinat.path_blocks("heis", 7, 3))
+    assert all(len(tails) == len(texts) <= 7 for _, (tails, texts) in blocks)
+    assert len({id(tails) for _, (tails, _) in blocks}) < len(blocks)
+    assert sum(len(tails) for _, (tails, _) in blocks) == combinat.path_space("heis", 7, 3).size
+
+
+def test_path_texts_check_when_called():
+    with pytest.raises(UnknownFamily):
+        combinat.enumerate_path_texts("dyck", 4, 2)
+    with pytest.raises(ValueError, match="prime power"):
+        combinat.enumerate_path_texts("pell", 4, 6)
+    with pytest.raises(SpaceTooLarge):
+        combinat.enumerate_path_texts("heis_tilde", 5, 2, limit=10)
+    assert list(combinat.enumerate_path_texts("heis", 1, 5)) == ["-"]
+    assert list(combinat.enumerate_path_texts("inv_tilde", 1, 5)) == []
+
+
 def test_enumerators_check_when_called():
     """Guards run at the call, before the first next()."""
     with pytest.raises(UnknownFamily):
