@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .combinat import LabeledLatticePath, LabeledSetPartition, path_blocks
+from .combinat import PATH_FAMILIES, LabeledLatticePath, LabeledSetPartition, path_blocks
 from .errors import NotClassX, NotInFamily
 from .gf import FieldSpec, field_make
 from .linalg import Functional, block_decomposition, solve_consistent
@@ -42,8 +42,8 @@ STEP_R = (1, 0)
 STEP_N = (1, 1)
 STEP_U = (0, 1)
 STEP_UU = (0, 2)
-HEIS_STEPS = frozenset((STEP_R, STEP_N, STEP_U, STEP_UU))
-PELL_STEPS = frozenset((STEP_R, STEP_N, STEP_U))
+HEIS_STEPS = frozenset(PATH_FAMILIES["heis"])
+PELL_STEPS = frozenset(PATH_FAMILIES["pell"])
 
 CLASS_X = "class_X"
 CLASS_Y = "class_Y"
@@ -108,8 +108,7 @@ def _check_steps(path: LabeledLatticePath, allowed: frozenset, family: str) -> l
     return kinds
 
 
-def path_to_functional(path: LabeledLatticePath,
-                       field: FieldSpec | None = None) -> Functional:
+def path_to_functional(path: LabeledLatticePath) -> Functional:
     """The functional of a path with steps R, N, U, UU not starting in UU.
 
     The step starting at coordinate sum d, with i = d + 1, contributes
@@ -118,7 +117,7 @@ def path_to_functional(path: LabeledLatticePath,
     for n = span + 1.
     """
     _check_steps(path, HEIS_STEPS, "heis")
-    field = field or field_make(path.q)
+    field = field_make(path.q)
     n = path.span + 1
     entries: dict[tuple[int, int], int] = {}
     d = 0

@@ -29,7 +29,7 @@ from itertools import chain, product
 
 from . import counting
 from .errors import NotAPartition, Space, UnknownFamily, guard_space
-from .gf import FieldSpec, field_make
+from .gf import field_make
 from .linalg import Functional
 
 # canonical step order; labels per step = its height
@@ -224,11 +224,9 @@ def shift(part: LabeledSetPartition) -> LabeledSetPartition:
     return LabeledSetPartition(part.n + 1, part.q, arcs)
 
 
-def partition_to_functional(part: LabeledSetPartition,
-                            field: FieldSpec | None = None) -> Functional:
+def partition_to_functional(part: LabeledSetPartition) -> Functional:
     """The functional sum of t * e*_{ij} over the arcs (i, j, t)."""
-    field = field or field_make(part.q)
-    return Functional.from_dict(part.n, field,
+    return Functional.from_dict(part.n, field_make(part.q),
                                 {(i, j): t for i, j, t in part.arcs})
 
 

@@ -37,13 +37,17 @@ index is its free coordinates read base q, seeds are taken in index
 element of its orbit, and a bytearray the size of the guarded space
 marks what is visited.  Each move is grouped by destination, so an
 image's index is computed from the source codes, and its tuple is built
-only when that index is new.  Single orbits (``orbit``, the left and
-right orbits behind the irreducibility flag) stay on a set-based BFS.
-Where a coadjoint orbit is an affine space lam + T_lam (lam killing
-n^3), ``tech_lem1_bruteforce`` tests membership by rank instead.
+only when that index is new.  One kernel, ``_closure``, closes every
+orbit this way: the sweep's, a single ``orbit``, and the left and right
+orbits behind the irreducibility flag.  The last two mark visits in a
+dict, since a lone orbit's index space (q^npos for ``orbit``) need not
+fit a bytearray.  Where a coadjoint orbit is an affine space
+lam + T_lam (lam killing n^3), ``tech_lem1_bruteforce`` tests
+membership by rank instead.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
@@ -214,7 +218,7 @@ def _element_move(g: UnitriangularElement, mode: str):
 
 def _compile(move, field: FieldSpec):
     """The move with each coefficient replaced by its row of the field's
-    multiplication table, the form _apply takes."""
+    multiplication table, the form _index_moves takes."""
     mul = field.mul_table
     return tuple((dst, src, mul[c]) for dst, src, c in move)
 
@@ -229,44 +233,6 @@ def _moves(group: str, n: int, q: int, mode: str):
     field = field_make(q)
     return tuple(_compile(_element_move(g, mode), field)
                  for g in _generators(group, n, field))
-
-
-def _apply(codes: tuple[int, ...], move, add) -> tuple[int, ...]:
-    """codes[dst] += coeff * codes[src] for every triple of a compiled
-    move, all reading the original codes; a compiled triple holds the
-    coefficient's multiplication row, and add is the field's table."""
-    out = list(codes)
-    for dst, src, row in move:
-        s = codes[src]
-        if s:
-            out[dst] = add[out[dst]][row[s]]
-    return tuple(out)
-
-
-def _bfs(start: tuple[int, ...], step, bound: int, what: str) -> set[tuple[int, ...]]:
-    """Closure of start under the moves yielded by step(codes); past the
-    guard it reports the size reached, a lower bound on the closure."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for codes in frontier:
-            for nxt in step(codes):
-                if nxt not in seen:
-                    if len(seen) >= bound:
-                        raise SpaceTooLarge(bound, len(seen) + 1, what, at_least=True)
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    return seen
-
-
-def _stepper(moves, field: FieldSpec):
-    """step(codes): the images of codes under every compiled move that
-    changes anything."""
-    add = field.add_table
-    moves = [move for move in moves if move]
-    return lambda codes: [_apply(codes, move, add) for move in moves]
 
 
 def _onto_h(move, gamma_codes, field: FieldSpec):
@@ -330,6 +296,64 @@ def _index_moves(moves, weight, live, field: FieldSpec):
     return out
 
 
+def _weights(npos: int, free, q: int) -> list[int]:
+    """The place value of each position in a state's index: its free
+    coordinates read as base-q digits, first free position most
+    significant, and 0 elsewhere."""
+    weight = [0] * npos
+    for k, a in enumerate(free):
+        weight[a] = q ** (len(free) - 1 - k)
+    return weight
+
+
+def _index(codes, weight) -> int:
+    return sum(c * w for c, w in zip(codes, weight))
+
+
+def _closure(codes: tuple[int, ...], index: int, grouped, add, seen, guard=None):
+    """The closure of one state under moves in ``_index_moves`` form, as
+    its states and their indices in breadth-first order.
+
+    seen maps an index to a mark, 0 (or missing, for a defaultdict) when
+    unvisited; every index reached is marked 2.  An image's index comes
+    from the source codes, and its tuple is built only when that index is
+    unvisited.  guard is (bound, what): past bound states it raises
+    SpaceTooLarge with the size reached, a lower bound on the closure."""
+    states, indices = [codes], [index]
+    seen[index] = 2
+    for codes, i in zip(states, indices):
+        for singles, multis in grouped:
+            j = i
+            for dst, src, delta, _ in singles:
+                j += delta[codes[dst]][codes[src]]
+            for dst, w, srcs in multis:
+                old = v = codes[dst]
+                for src, row in srcs:
+                    s = codes[src]
+                    if s:
+                        v = add[v][row[s]]
+                j += (v - old) * w
+            if not seen[j]:
+                if guard and len(states) >= guard[0]:
+                    raise SpaceTooLarge(guard[0], len(states) + 1, guard[1], at_least=True)
+                seen[j] = 2
+                out = list(codes)
+                for dst, src, _, row in singles:
+                    s = codes[src]
+                    if s:
+                        out[dst] = add[codes[dst]][row[s]]
+                for dst, _, srcs in multis:
+                    v = codes[dst]
+                    for src, row in srcs:
+                        s = codes[src]
+                        if s:
+                            v = add[v][row[s]]
+                    out[dst] = v
+                states.append(tuple(out))
+                indices.append(j)
+    return states, indices
+
+
 def _sweep(npos: int, free, q: int, moves, field: FieldSpec, fill=None):
     """Label a whole space of code tuples by orbits, yielding
     (seed, size, contains) for each orbit.
@@ -337,25 +361,20 @@ def _sweep(npos: int, free, q: int, moves, field: FieldSpec, fill=None):
     The space is every tuple of length npos that is zero off the free
     positions, or, with fill, every tuple whose free coordinates are
     arbitrary and whose other coordinates fill(codes) sets in place from
-    them (the moves must then never write those).  A tuple's index is its
-    free coordinates read as base-q digits, first free position most
-    significant, so seeds taken in index order are taken in lexicographic
-    order and each seed is the least element of its orbit.  A bytearray
-    of q^len(free) marks holds the visited tuples.  Each move is grouped
-    by destination (``_index_moves``), so an image's index comes from the
-    source codes, and the image tuple is built only when that index is
-    unvisited.  contains(codes) tells whether a tuple of the space lies in
-    the orbit just yielded; it holds until the sweep resumes."""
-    m = len(free)
-    weight = [0] * npos
-    for k, a in enumerate(free):
-        weight[a] = q ** (m - 1 - k)
+    them (the moves must then never write those).  A tuple's index is
+    ``_weights``' reading of it, so seeds taken in index order are taken
+    in lexicographic order and each seed is the least element of its
+    orbit.  A bytearray of q^len(free) marks holds the visited tuples,
+    and ``_closure`` closes each seed's orbit.  contains(codes) tells
+    whether a tuple of the space lies in the orbit just yielded; it holds
+    until the sweep resumes."""
+    weight = _weights(npos, free, q)
     grouped = _index_moves(moves, weight, range(npos) if fill else set(free), field)
     add = field.add_table
-    seen = bytearray(q ** m)  # 0 unvisited, 2 in the current orbit, 1 done
+    seen = bytearray(q ** len(free))  # 0 unvisited, 2 in the current orbit, 1 done
 
     def contains(codes):
-        return seen[sum(codes[a] * weight[a] for a in free)] == 2
+        return seen[_index(codes, weight)] == 2
 
     seed = seen.find(0)
     while seed >= 0:
@@ -364,39 +383,11 @@ def _sweep(npos: int, free, q: int, moves, field: FieldSpec, fill=None):
             rest, codes[a] = divmod(rest, q)
         if fill:
             fill(codes)
-        states, indices = [tuple(codes)], [seed]
-        seen[seed] = 2
-        for codes, i in zip(states, indices):
-            for singles, multis in grouped:
-                j = i
-                for dst, src, delta, _ in singles:
-                    j += delta[codes[dst]][codes[src]]
-                for dst, w, srcs in multis:
-                    old = v = codes[dst]
-                    for src, row in srcs:
-                        s = codes[src]
-                        if s:
-                            v = add[v][row[s]]
-                    j += (v - old) * w
-                if not seen[j]:
-                    seen[j] = 2
-                    out = list(codes)
-                    for dst, src, _, row in singles:
-                        s = codes[src]
-                        if s:
-                            out[dst] = add[codes[dst]][row[s]]
-                    for dst, _, srcs in multis:
-                        v = codes[dst]
-                        for src, row in srcs:
-                            s = codes[src]
-                            if s:
-                                v = add[v][row[s]]
-                        out[dst] = v
-                    states.append(tuple(out))
-                    indices.append(j)
+        states, indices = _closure(tuple(codes), seed, grouped, add, seen)
         yield states[0], len(states), contains
         for i in indices:
             seen[i] = 1
+        del states, indices  # before the next orbit is built
         seed = seen.find(0, seed + 1)
 
 
@@ -407,12 +398,13 @@ def orbit(lam: Functional, mode: str, limit: int | None = None) -> set[Functiona
     F_p-basis of F_q, which generate U_n as all t in F_q^x do."""
     if mode not in ORBIT_MODES:
         raise UnknownFamily(f"unknown action mode {mode!r}")
-    field = lam.field
-    moves = _moves("full", lam.n, field.q, mode)
-    bound = space_limit(limit)
-    seen = _bfs(lam.codes, _stepper(moves, field), bound,
-                f"{mode} orbit in u_{lam.n}(F_{field.q})*")
-    return {Functional.from_codes(lam.n, field, codes) for codes in seen}
+    field, npos = lam.field, len(lam.codes)
+    weight = _weights(npos, range(npos), field.q)
+    grouped = _index_moves(_moves("full", lam.n, field.q, mode), weight, range(npos), field)
+    states, _ = _closure(lam.codes, _index(lam.codes, weight), grouped, field.add_table,
+                         defaultdict(int),
+                         (space_limit(limit), f"{mode} orbit in u_{lam.n}(F_{field.q})*"))
+    return {Functional.from_codes(lam.n, field, codes) for codes in states}
 
 
 # ------------------------------------------------------------------ ls chains
@@ -592,15 +584,15 @@ def _two_sided_census(group: str, n: int, q: int) -> tuple[_FunctionalOrbit, ...
     far = [a for a, (i, j) in enumerate(triangle_positions(n)) if j - i >= 3]
     full = group == "full"
     free = range(npos) if full else range(1, npos)
-    bound = q ** len(free)
-    kind = f"orbit in u_{n}(F_{q})*" if full else f"H-orbit in u_{n}(F_{q})* mod gamma"
-    left, right = (_stepper(_functional_moves(group, n, q, mode), field)
+    weight, add = _weights(npos, free, q), field.add_table
+    left, right = (_index_moves(_functional_moves(group, n, q, mode), weight, set(free), field)
                    for mode in ("left", "right"))
     out = []
     for codes, size, contains in _sweep(npos, free, q,
                                         _functional_moves(group, n, q, "two_sided"), field):
-        meet = (_bfs(codes, left, bound, f"left {kind}")
-                & _bfs(codes, right, bound, f"right {kind}"))
+        i = _index(codes, weight)
+        meet = (set(_closure(codes, i, left, add, defaultdict(int))[1])
+                & set(_closure(codes, i, right, add, defaultdict(int))[1]))
         c_inv = full and all(contains(_translate(codes, t, gamma_codes, field))
                              for t in range(1, q))
         out.append(_FunctionalOrbit(codes, size, len(meet) == 1,

@@ -471,6 +471,31 @@ def test_verify_passes_at_domain_edge(name, capsys):
     assert code == 0, out
 
 
+def verified_pairs(capsys, name, n, q):
+    code, out, _ = invoke(capsys, "verify", name, "--n", str(n), "--q", str(q),
+                          "--format", "json")
+    assert code == 0, out
+    return [(case["expected"], case["computed"]) for case in json.loads(out)["report"]]
+
+
+# the two-sided census of u_6(F_3)* sweeps 3^15 functionals and closes the
+# left and right orbit of each of its orbits; the two checks share it
+@pytest.mark.slow
+def test_verify_fe_thm_at_6_3(capsys):
+    fe = counting.poly("fe", 5)(2)
+    assert verified_pairs(capsys, "fe-thm", 6, 3) == [(fe, fe)] * 3
+
+
+@pytest.mark.slow
+def test_verify_c_irr_thm_at_6_3(capsys):
+    irr, heis = ((1 - 3) ** 2 * counting.poly(family, 6)(-1) for family in ("cat", "del"))
+    assert verified_pairs(capsys, "c-irr-thm", 6, 3) == [(irr, irr)] * 2 + [(heis, heis)] * 2
+    # at odd n - 1 both counts are 0, so pin the irreducibility flags by
+    # the census's irreducible supercharacters too
+    counts = oracle.count_supercharacter_families(6, 3)
+    assert counts.irreducible_supercharacters == counting.poly("cat", 6)(2)
+
+
 # ----------------------------------------------------------------- sequences
 def test_sequences_single(capsys):
     code, out, _ = invoke(capsys, "sequences", "--name", "pell", "--count", "5")
@@ -660,7 +685,7 @@ def test_tech_lem1_tuple_guard_exits_3_before_any_tuple(d, q, limit, tuples, cap
         raise AssertionError("a label tuple was tried")
 
     monkeypatch.setattr(oracle, "tangent", refuse)
-    monkeypatch.setattr(oracle, "_bfs", refuse)
+    monkeypatch.setattr(oracle, "_closure", refuse)
     code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", d, "--q", q, "--limit", limit)
     assert (code, out) == (3, "")
     assert err == (f"error: label tuples (F_{q}^x)^{2 * int(d)} exceeds the size guard of "
@@ -676,7 +701,7 @@ def test_tech_lem1_sweep_guards_every_d_before_the_first(capsys, monkeypatch):
         raise AssertionError("a case was computed")
 
     monkeypatch.setattr(oracle, "tangent", refuse)
-    monkeypatch.setattr(oracle, "_bfs", refuse)
+    monkeypatch.setattr(oracle, "_closure", refuse)
     code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", "1-3", "--q", "5",
                             "--limit", "3000")
     assert (code, out) == (3, "")

@@ -98,6 +98,19 @@ def test_orbit_guard_names_what_it_reached():
         "coadjoint orbit in u_4(F_3)* exceeds the size guard of 5 (needs at least 6)")
 
 
+def test_orbit_in_a_space_no_bytearray_could_mark():
+    # u_8(F_3)* has 3^28 points, but a single orbit marks only the points
+    # it reaches: the left orbit of e*_{2,5} is e*_{2,5} + a e*_{3,5} +
+    # b e*_{4,5}, since (g^{-1} X)_{25} = X_25 + sum_{k>2} g^{-1}_{2k} X_k5
+    lam = linalg.e_star(8, F3, 2, 5)
+    assert orbit(lam, "left") == {
+        linalg.Functional.from_dict(8, F3, {(2, 5): 1, (3, 5): a, (4, 5): b})
+        for a in range(3) for b in range(3)}
+    with pytest.raises(SpaceTooLarge, match=r"^left orbit in u_8\(F_3\)\* exceeds the "
+                                            r"size guard of 8 \(needs at least 9\)"):
+        orbit(lam, "left", limit=8)
+
+
 def test_orbit_modes_consistency():
     rng = random.Random(7)
     for _ in range(10):
