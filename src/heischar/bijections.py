@@ -177,6 +177,7 @@ def pell_path_to_partition(path: LabeledLatticePath) -> LabeledSetPartition:
     advances the coordinate sum by two.
     """
     _check_steps(path, PELL_STEPS, "pell")
+    field_make(path.q)  # validates q
     arcs = []
     s = 0
     for step, labels in path.steps:

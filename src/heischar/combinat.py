@@ -56,8 +56,8 @@ def _check_labels(q: int, labels) -> None:
 
 
 def _label_text(t) -> str:
-    """A label's text: the integer it equals, if any, so that True and 2.0
-    print as 1 and 2, like the integer entries of the token map."""
+    """A label's text: the integer it equals, if any, so that equal paths
+    print the same; labels 2.0 and True print as 2 and 1."""
     try:
         if t == int(t):
             return str(int(t))
@@ -73,37 +73,24 @@ def _token(entry) -> str:
     return name if not labels else f"{name}({','.join(map(_label_text, labels))})"
 
 
-# q -> {entry: text token} for the valid (step, labels) entries over F_q
-# that paths have been built from so far; filled by _validate_steps.
-_TOKENS: dict = {}
+class _Tokens(dict):
+    """The text tokens of the entries looked up so far: one stream's
+    cache of _token, freed with the stream."""
+
+    def __missing__(self, entry):
+        text = self[entry] = _token(entry)
+        return text
 
 
 def _validate_steps(q, steps) -> None:
     """Raise ValueError at the first entry of steps that is not a labelled
-    step over F_q.  Entries found valid with integer labels join q's token
-    map, so later paths built from them pass on lookups alone."""
-    tokens = _TOKENS.setdefault(q, {}) if type(q) is int else {}
-    try:
-        if all(map(tokens.__contains__, steps)):
-            return
-    except TypeError:  # something unhashable, e.g. labels given as a list
-        pass
-    for entry in steps:
-        step, labels = entry
+    step over F_q."""
+    for step, labels in steps:
         if step not in STEP_NAMES:
             raise ValueError(f"unknown step {step}")
         if len(labels) != step[1]:
             raise ValueError(f"step {step} needs {step[1]} labels, got {len(labels)}")
         _check_labels(q, labels)
-        if type(labels) is tuple and all(type(t) is int for t in labels):
-            tokens[entry] = _token(entry)
-
-
-def _token_lookup(q):
-    """The token of an entry checked by _validate_steps over F_q: a lookup
-    in q's token map where there is one."""
-    tokens = _TOKENS.get(q) if type(q) is int else None
-    return _token if tokens is None else tokens.__getitem__
 
 
 @dataclass(frozen=True)
@@ -237,8 +224,8 @@ class LabeledLatticePath:
     ``steps`` is a tuple of ((dx, dy), labels) where labels is a tuple of
     dy nonzero codes of F_q.  ``LabeledLatticePath(q, steps)`` and
     ``path_from_text`` check every entry; the enumerators build their
-    paths with ``_unchecked_path`` from entries they checked once, so
-    every path satisfies the same property either way.
+    paths with ``_unchecked_path`` from entries valid by construction,
+    so every path satisfies the same property either way.
     """
 
     q: int
@@ -264,10 +251,9 @@ class LabeledLatticePath:
 
 
 def _unchecked_path(q: int, steps: tuple) -> LabeledLatticePath:
-    """A path from entries already checked by _validate_steps, built
-    without running the check again.  The fields go straight into the
-    instance dict, which is where the frozen dataclass's own __init__
-    puts them."""
+    """A path from entries known to be valid, built without running
+    _validate_steps.  The fields go straight into the instance dict,
+    which is where the frozen dataclass's own __init__ puts them."""
     path = object.__new__(LabeledLatticePath)
     fields = path.__dict__
     fields["q"] = q
@@ -310,9 +296,11 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
 def enumerate_path_texts(family: str, n: int, q: int, limit: int | None = None):
     """path_to_text of every path of enumerate_paths, in its order and with
     its checks at the call, without building the paths."""
+    tokens = _Tokens()
+
     def head(prefix) -> str:
         # only the origin's own block has an empty prefix: the empty path
-        return " ".join(map(_token_lookup(q), prefix)) or "-"
+        return " ".join(map(tokens.__getitem__, prefix)) or "-"
     return chain.from_iterable(map(head(prefix).__add__, texts)
                                for prefix, (_, texts) in path_blocks(family, n, q, limit))
 
@@ -342,19 +330,19 @@ def _walk_paths(family: str, n: int, q: int):
     """The blocks of path_blocks, once its checks have passed.
 
     Each coordinate sum ``total`` has a precomputed list of options
-    (entry, total after the entry); the first step has its own list,
-    since the tilde families restrict it.  The suffix table of a total
-    lists its completions in stream order: the empty tail when the total
-    lies on a target line, then, option by option, the entry followed by
-    each tail of the total after it.  Tables are built from the target
-    line back toward the origin, for every total with at most _TABLE_CAP
-    completions; the prefixes are then walked depth first with an
-    explicit stack, and a prefix reaching a total with a table is yielded
-    with that table as one block.  A prefix on a target line whose total
-    has no table is yielded alone, then extended.  The step alphabet is
-    checked once, row by row, before the walk (which also puts the rows'
-    text tokens in the token map); every path is then a tuple of checked
-    entries.
+    (entry, total after the entry); no step returns to the origin, so
+    its list holds the first step's options, which the tilde families
+    restrict.  The suffix table of a total lists its completions in
+    stream order: the empty tail when the total lies on a target line,
+    then, option by option, the entry followed by each tail of the total
+    after it.  Tables are built from the target line back toward the
+    origin, for every total with at most _TABLE_CAP completions; the
+    prefixes are then walked depth first with an explicit stack, and a
+    prefix reaching a total with a table is yielded with that table as
+    one block.  A prefix on a target line whose total has no table is
+    yielded alone, then extended.  The rows pair each step of the family
+    with every tuple of labels in 1 .. q-1, so every path is a tuple of
+    valid entries.
     """
     if n < 1:
         return
@@ -366,9 +354,6 @@ def _walk_paths(family: str, n: int, q: int):
     rows = {step: [(step, labels) for labels in product(range(1, q), repeat=step[1])]
             for step in STEP_ORDER
             if step in PATH_FAMILIES[family] and step[0] + step[1] <= top}
-    for row in rows.values():
-        _validate_steps(q, row)
-    token = _token_lookup(q)
 
     def options(total: int, first: bool) -> list:
         out = []
@@ -382,7 +367,7 @@ def _walk_paths(family: str, n: int, q: int):
                 out.extend((entry, after) for entry in row)
         return out
 
-    later = [options(total, False) for total in range(top + 1)]
+    later = [options(total, total == 0) for total in range(top + 1)]
     hit = [total in targets for total in range(top + 1)]
     # a total has at least as many completions as every total it reaches,
     # so a total under the cap finds the tables it is built from
@@ -394,13 +379,13 @@ def _walk_paths(family: str, n: int, q: int):
             for entry, after in later[total]:
                 after_tails, after_texts = tables[after]
                 tails.extend(map((entry,).__add__, after_tails))
-                texts.extend(map((" " + token(entry)).__add__, after_texts))
+                texts.extend(map((" " + _token(entry)).__add__, after_texts))
             tables[total] = (tails, texts)
 
     alone = ([()], [""])
     if hit[0]:
         yield (), alone  # the empty path, for families that allow n = 1
-    acc, stack = [], [iter(options(0, True))]
+    acc, stack = [], [iter(later[0])]
     while stack:
         for entry, total in stack[-1]:
             acc.append(entry)
@@ -440,19 +425,13 @@ def enumerate_partitions(n: int, q: int, filter: str = "all",
 def _walk_partitions(n: int, q: int, filter: str):
     """The stream of enumerate_partitions, once its checks have passed."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-    def keep(chosen) -> bool:
-        part = LabeledSetPartition(n, q, tuple((i, j, 1) for i, j in chosen))
-        if filter == "noncrossing":
-            return is_noncrossing(part)
-        if filter == "feasible":
-            return is_feasible(part)
-        if filter == "heis_support":
-            return has_heis_support(part)
-        return True
+    # the filter's predicate reads the arcs only, so candidates carry label 1
+    keep = {"noncrossing": is_noncrossing, "feasible": is_feasible,
+            "heis_support": has_heis_support}.get(filter)
 
     def rec(start, chosen, used_src, used_tgt):
-        if keep(chosen):
+        if keep is None or keep(
+                LabeledSetPartition(n, q, tuple((i, j, 1) for i, j in chosen))):
             for labels in product(range(1, q), repeat=len(chosen)):
                 yield LabeledSetPartition(
                     n, q, tuple((i, j, t) for (i, j), t in zip(chosen, labels)))
@@ -470,12 +449,7 @@ def _walk_partitions(n: int, q: int, filter: str):
 # -------------------------------------------------------------- serialization
 def path_to_text(path: LabeledLatticePath) -> str:
     """Text form like "R N(1) U(2) UU(1,1)"; the empty path is "-"."""
-    if not path.steps:
-        return "-"
-    try:
-        return " ".join(map(_TOKENS[path.q].__getitem__, path.steps))
-    except (KeyError, TypeError):  # an entry with non-integer or list labels
-        return " ".join(map(_token, path.steps))
+    return " ".join(map(_token, path.steps)) or "-"
 
 
 _TOKEN = re.compile(r"^([A-Z][A-Z0-9]*)(?:\(([0-9,]+)\))?$")

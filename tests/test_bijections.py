@@ -29,7 +29,7 @@ from heischar.combinat import (
     path_to_text,
     shift,
 )
-from heischar.errors import NotClassX, NotInFamily, SpaceTooLarge
+from heischar.errors import NotClassX, NotInFamily, NotPrimePower, SpaceTooLarge, TooLarge
 
 F2 = gf.field_make(2)
 F3 = gf.field_make(3)
@@ -139,6 +139,14 @@ def test_pell_partition_single_steps():
     assert (two.n, two.arcs) == (3, ((1, 3, 2),))
     empty = pell_path_to_partition(path_from_text("R R", 3))
     assert (empty.n, empty.arcs) == (3, ())
+
+
+def test_pell_partition_checks_the_field():
+    # labels below q pass the path's own check; the field is built here
+    with pytest.raises(NotPrimePower, match="6 is not a prime power"):
+        pell_path_to_partition(path_from_text("U(5) N(3)", 6))
+    with pytest.raises(TooLarge, match="field order 300 exceeds the maximum 256"):
+        pell_path_to_partition(path_from_text("U(5) N(3)", 300))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

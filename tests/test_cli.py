@@ -107,6 +107,13 @@ def test_map_operations(capsys):
     assert (code, out) == (0, "neither\n")
 
 
+@pytest.mark.parametrize("q,message", (("6", "6 is not a prime power"),
+                                       ("300", "field order 300 exceeds the maximum 256")))
+def test_map_path_to_partition_checks_the_field(q, message, capsys):
+    assert invoke(capsys, "map", "path-to-partition", "U(5) N(3)", "--q", q) \
+        == (2, "", f"error: {message}\n")
+
+
 def test_functional_to_path_refuses_u0(capsys):
     # "-" is the path of u_1, so u_0 has none
     assert invoke(capsys, "map", "path-to-functional", "-", "--q", "2") == (0, "1 2\n", "")

@@ -257,7 +257,7 @@ def test_path_stream_matches_recursive_reference(family, q):
 
 
 def reference_text(steps):
-    """A path's text built from its steps alone, without the token map."""
+    """A path's text built from its steps alone, without combinat's tokens."""
     return " ".join(combinat.STEP_NAMES[step] + (f"({','.join(map(str, labels))})"
                                                  if labels else "")
                     for step, labels in steps) or "-"
@@ -325,8 +325,8 @@ def test_enumerators_check_when_called():
 
 @pytest.mark.parametrize("q", (2, 5, 37))
 def test_path_validation_messages(q):
-    """The token map's fast check falls back to the full loop on a miss, so
-    the exception types and messages are those of the loop, at every q."""
+    """The check names the first bad entry, with the same exception types
+    and messages at every q."""
     cases = [
         ((((3, 3), ()),), "unknown step (3, 3)"),
         ((((0, 2), (1,)),), "step (0, 2) needs 2 labels, got 1"),
@@ -416,24 +416,27 @@ def test_walked_paths_equal_checked_paths(family):
             assert list(map(hash, paths)) == list(map(hash, checked))
 
 
-def test_token_map_holds_only_the_entries_used():
-    combinat._TOKENS.pop(256, None)
+def test_largest_field_paths_print_their_labels():
     paths = list(enumerate_paths("heis", 2, 256))
     assert len(paths) == 256  # R and the 255 labelled U steps; UU overshoots
-    assert set(combinat._TOKENS[256]) == {entry for path in paths for entry in path.steps}
-    assert combinat._TOKENS[256][((0, 1), (255,))] == "U(255)"
+    assert list(map(path_to_text, paths)) == ["R"] + [f"U({t})" for t in range(1, 256)]
+    assert path_to_text(paths[-1]) == "U(255)"
 
 
-def test_token_map_keeps_integer_labels_only():
+def test_integer_valued_labels_print_as_integers():
     """Labels equal to integers but of another type validate as before and
-    print as those integers whether or not the map has seen them."""
+    print as those integers, whatever was printed before them."""
     odd_steps = (((1, 1), (2.0,)), ((0, 1), (True,)), ((0, 1), (2.5,)))
-    combinat._TOKENS.pop(7, None)
     assert path_to_text(LabeledLatticePath(7, odd_steps)) == "N(2) U(1) U(2.5)"
-    assert combinat._TOKENS[7] == {}
     assert path_to_text(LabeledLatticePath(7, (((1, 1), (2,)),))) == "N(2)"
     assert path_to_text(LabeledLatticePath(7, odd_steps)) == "N(2) U(1) U(2.5)"
-    assert set(combinat._TOKENS[7]) == {((1, 1), (2,))}
+
+
+def test_path_texts_at_the_largest_field():
+    # 130,816 lines: the walker tests above stop at q = 9
+    texts = list(combinat.enumerate_path_texts("heis", 3, 256))
+    assert len(texts) == combinat.path_space("heis", 3, 256).size == 130816
+    assert texts == list(map(path_to_text, enumerate_paths("heis", 3, 256)))
 
 
 def test_partition_text_round_trip():

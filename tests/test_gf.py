@@ -101,6 +101,38 @@ def test_construction_errors():
         gf.field_make(-3)
 
 
+def _monic(p, k):
+    """The monic polynomials of degree k over F_p, coefficients constant
+    term first, in lexicographic order of that list."""
+    return [lows + (1,) for lows in itertools.product(range(p), repeat=k)]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def test_irreducible_table_covers_every_proper_prime_power():
+    primes = [p for p in range(2, 17) if all(p % d for d in range(2, p))]
+    wanted = {(p, k) for p in primes for k in range(2, 9) if p ** k <= gf.MAX_ORDER}
+    assert set(gf._IRREDUCIBLE) == wanted
+
+
+@pytest.mark.parametrize("p,k", sorted(gf._IRREDUCIBLE))
+def test_irreducible_table_holds_the_smallest_irreducible(p, k):
+    # the reducible monics of degree k are the products of two monics of
+    # lower degree, so the first monic not among them is the smallest
+    # irreducible, independently of gf's own divisor test
+    reducible = {_times(a, b, p) for d in range(1, k // 2 + 1)
+                 for a in _monic(p, d) for b in _monic(p, k - d)}
+    smallest = next(m for m in _monic(p, k) if m not in reducible)
+    assert gf._IRREDUCIBLE[p, k] == smallest
+    assert gf._check_irreducible(smallest, p)
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroInverse):
         gf.field_make(3).inv_code(0)
