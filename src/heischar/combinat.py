@@ -73,15 +73,6 @@ def _token(entry) -> str:
     return name if not labels else f"{name}({','.join(map(_label_text, labels))})"
 
 
-class _Tokens(dict):
-    """The text tokens of the entries looked up so far: one stream's
-    cache of _token, freed with the stream."""
-
-    def __missing__(self, entry):
-        text = self[entry] = _token(entry)
-        return text
-
-
 def _validate_steps(q, steps) -> None:
     """Raise ValueError at the first entry of steps that is not a labelled
     step over F_q."""
@@ -296,11 +287,9 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
 def enumerate_path_texts(family: str, n: int, q: int, limit: int | None = None):
     """path_to_text of every path of enumerate_paths, in its order and with
     its checks at the call, without building the paths."""
-    tokens = _Tokens()
-
     def head(prefix) -> str:
         # only the origin's own block has an empty prefix: the empty path
-        return " ".join(map(tokens.__getitem__, prefix)) or "-"
+        return " ".join(map(_token, prefix)) or "-"
     return chain.from_iterable(map(head(prefix).__add__, texts)
                                for prefix, (_, texts) in path_blocks(family, n, q, limit))
 
