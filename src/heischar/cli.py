@@ -39,7 +39,7 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from . import bijections, checks, combinat, counting
-from .errors import SpaceTooLarge, space_limit
+from .errors import SpaceTooLarge, exact_ints, space_limit
 from .gf import field_make
 from .linalg import functional_from_text, functional_to_text
 
@@ -112,23 +112,6 @@ def _csv_chunks(rows, fields, per: int):
         yield chunk
 
 
-@contextlib.contextmanager
-def _exact_ints():
-    """Lift the interpreter's int-to-str digit limit (Python 3.11 and
-    later) for the block, so that exact values of any length print, and
-    restore the caller's setting afterwards.  Input is still parsed under
-    the limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None) -> None:
     """Write lines (text), payload (json; a one-item list as its item) or rows
     (csv; sequences in the order of fields).
@@ -139,7 +122,7 @@ def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None
     Integers are formatted here, with no limit on their digits.
     """
     per = lines_per_write or _CHUNK
-    with _exact_ints():
+    with exact_ints():
         if args.format == "json":
             if isinstance(payload, list) and len(payload) == 1:
                 payload = payload[0]

@@ -1,10 +1,30 @@
-"""Exception types shared across the package, and the size guard that
-raises SpaceTooLarge."""
+"""Exception types shared across the package, the size guard that raises
+SpaceTooLarge, and the context in which exact integers of any length
+print."""
 
+import contextlib
 import os
+import sys
 from dataclasses import dataclass
 
 DEFAULT_SPACE_LIMIT = 1 << 24
+
+
+@contextlib.contextmanager
+def exact_ints():
+    """Lift the interpreter's int-to-str digit limit (Python 3.11 and
+    later) for the block, so that exact values of any length print, and
+    restore the caller's setting afterwards.  Input is still parsed under
+    the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class NotPrimePower(ValueError):
@@ -62,11 +82,12 @@ class SpaceTooLarge(RuntimeError):
                  limit_arg: bool = True, at_least: bool = False):
         self.bound = bound
         self.needed = needed
-        detail = (f" (needs {'at least ' if at_least else ''}{needed})"
-                  if needed is not None else "")
         hint = " or raise the limit argument" if limit_arg else " to raise it"
-        super().__init__(f"{what} exceeds the size guard of {bound}{detail}; "
-                         f"set HEISCHAR_SPACE_LIMIT{hint}")
+        with exact_ints():  # a needed size can run to thousands of digits
+            detail = (f" (needs {'at least ' if at_least else ''}{needed})"
+                      if needed is not None else "")
+            super().__init__(f"{what} exceeds the size guard of {bound}{detail}; "
+                             f"set HEISCHAR_SPACE_LIMIT{hint}")
 
 
 def space_limit(limit: int | None = None) -> int:

@@ -1,10 +1,14 @@
 """Exact arithmetic in small finite fields F_q, q <= 256.
 
-Elements are represented by integer codes 0 .. q-1.  For prime q the code
-is the residue itself.  For q = p^k the code packs the coefficient vector
-of a polynomial residue base p: code = c_0 + c_1*p + ... + c_{k-1}*p^{k-1},
-reduced modulo a fixed irreducible polynomial so that codes mean the same
-thing in every run.  All operations are table lookups after construction.
+Elements are represented by integer codes 0 .. q-1.  For q = p^k the code
+packs the coefficient vector of a polynomial residue base p:
+code = c_0 + c_1*p + ... + c_{k-1}*p^{k-1}, reduced modulo a fixed
+irreducible polynomial so that codes mean the same thing in every run; a
+prime field is the case k = 1, whose code is the residue itself.  Every
+field is built the same way: addition digit by digit mod p, and the
+multiplication and inverse tables from the powers of a generator, the
+least code whose powers reach every nonzero code.  All operations are
+table lookups after construction.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ MAX_ORDER = 256
 
 # Fixed irreducible polynomial per (p, k), k >= 2: the lexicographically
 # smallest monic irreducible, coefficients listed constant term first.
-# Verified irreducible again at construction time.
+# Verified irreducible again at construction time.  A prime field, k = 1,
+# takes the modulus x.
 _IRREDUCIBLE = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 0, 1, 1),
@@ -42,17 +47,9 @@ def _prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p^k, or raise NotPrimePower."""
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    n = q
-    p = None
-    for d in range(2, q + 1):
-        if d * d > n and p is None:
-            p = n  # n is prime
-            break
-        if n % d == 0:
-            p = d
-            break
-    k = 0
-    while n % p == 0 and n > 1:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    n, k = q, 0
+    while n % p == 0:
         n //= p
         k += 1
     if n != 1:
@@ -145,47 +142,38 @@ def field_make(q: int) -> FieldSpec:
     if q > MAX_ORDER:
         raise TooLarge(f"field order {q} exceeds the maximum {MAX_ORDER}")
     p, k = _prime_power(q)
-    if k == 1:
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        inv = (0,) + tuple(pow(a, -1, p) for a in range(1, p))
-        return FieldSpec(q, p, k, add, mul, inv)
-
-    modulus = _IRREDUCIBLE[(p, k)]
+    # F_p is F_p[x]/(x): its codes are the constant polynomials
+    modulus = _IRREDUCIBLE.get((p, k), (0, 1))
     if not _check_irreducible(modulus, p):
         raise AssertionError(f"modulus table entry for ({p}, {k}) is reducible")
 
-    def digits(code: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(code % p)
-            code //= p
-        return out
+    # addition is digit-wise mod p; code a*p + d extends code a by the low
+    # digit d, so each pass adds one digit to the table of the pass before
+    digit = add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
+    for _ in range(k - 1):
+        add = tuple(tuple(p * s + t for s in high for t in low)
+                    for high in add for low in digit)
 
-    def pack(coeffs: list[int]) -> int:
-        code = 0
-        for c in reversed(coeffs[:k] + [0] * (k - len(coeffs))):
-            code = code * p + c
-        return code
+    def times(a: int, b: int) -> int:
+        prod = [0] * (2 * k - 1)
+        for i in range(k):
+            for j in range(k):
+                prod[i + j] += a // p ** i % p * (b // p ** j % p)
+        return sum(c % p * p ** i for i, c in enumerate(_poly_rem(prod, modulus, p)))
 
-    add_rows = []
-    mul_rows = []
-    for a in range(q):
-        da = digits(a)
-        add_rows.append(tuple(pack([(x + y) % p for x, y in zip(da, digits(b))]) for b in range(q)))
-        row = []
-        for b in range(q):
-            db = digits(b)
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(da):
-                if x:
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            rem = _poly_rem(prod, modulus, p)
-            row.append(pack(rem + [0] * (k - len(rem))))
-        mul_rows.append(tuple(row))
-    mul = tuple(mul_rows)
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = mul[a].index(1)
-    return FieldSpec(q, p, k, tuple(add_rows), mul, tuple(inv))
+    # the least code whose powers reach every nonzero code; one exists, and
+    # every power loop returns to 1, because the modulus is irreducible
+    for g in range(1, q):
+        exp = [1]
+        while (power := times(exp[-1], g)) != 1:
+            exp.append(power)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    exp += exp
+    mul = ((0,) * q,) + tuple((0,) + tuple(exp[log[a] + log[b]] for b in range(1, q))
+                              for a in range(1, q))
+    inv = (0,) + tuple(exp[q - 1 - log[a]] for a in range(1, q))
+    return FieldSpec(q, p, k, add, mul, inv)

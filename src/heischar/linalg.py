@@ -355,8 +355,6 @@ def row_reduce(rows, field: FieldSpec) -> list[list[int]]:
         rows = [r for r in rows if any(r)]
         out.append(pivot)
         pivot_col += 1
-    # sort by pivot position for a canonical form
-    out.sort(key=lambda r: next(i for i, v in enumerate(r) if v))
     return out
 
 

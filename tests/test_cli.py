@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from heischar import checks, cli, combinat, counting, oracle
 from heischar.checks import CheckCase
 from heischar.cli import parse_int_list, run
-from heischar.errors import DEFAULT_SPACE_LIMIT, SpaceTooLarge
+from heischar.errors import DEFAULT_SPACE_LIMIT, SpaceTooLarge, exact_ints
 
 
 def invoke(capsys, *args):
@@ -681,6 +681,19 @@ def test_orbit_guard_exit_3(capsys, monkeypatch):
     assert err == ("error: coadjoint orbit in u_4(F_3)* exceeds the size guard of 4 "
                    "(needs at least 5); set HEISCHAR_SPACE_LIMIT or raise the limit "
                    "argument\n")
+
+
+def test_guard_past_the_digit_limit_exits_3(capsys, monkeypatch):
+    # the needed size 2^19900 has more digits than the interpreter prints
+    # by default; the guard still exits 3 and prints it whole
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    code, out, err = invoke(capsys, "verify", "bell-thm", "--n", "200", "--q", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: functional space u_200(F_2)* exceeds the size guard "
+                          "of 16777216 (needs ")
+    assert err.count("\n") == 1
+    with exact_ints():
+        assert f"(needs {2 ** 19900});" in err
 
 
 @pytest.mark.parametrize("d,q,limit,tuples", [("5", "9", "3000", 8 ** 10), ("1", "3", "2", 4)])

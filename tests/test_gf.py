@@ -1,5 +1,8 @@
-"""Field tables: axioms over every order up to 16, plus pinned values."""
+"""Field tables: axioms over every order up to 16, identities and inverses
+at the largest orders too, every order's tables pinned by one digest, plus
+pinned values."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -25,7 +28,7 @@ def test_axioms_exhaustive(q):
                 == f.add_code(f.mul_code(a, b), f.mul_code(a, c)))
 
 
-@pytest.mark.parametrize("q", ORDERS)
+@pytest.mark.parametrize("q", ORDERS + (243, 251, 256))
 def test_identities_and_inverses(q):
     f = gf.field_make(q)
     for a in range(q):
@@ -59,6 +62,21 @@ def test_characteristic(q):
         for _ in range(f.p):
             total = f.add_code(total, a)
         assert total == 0
+
+
+def test_tables_of_every_order_are_pinned():
+    # one digest over the tables of all 70 prime powers up to 256, in
+    # ascending order: a change to any entry of any field shows here
+    digest = hashlib.sha256()
+    for q in range(2, gf.MAX_ORDER + 1):
+        try:
+            f = gf.field_make(q)
+        except NotPrimePower:
+            continue
+        digest.update(repr((q, f.p, f.k, f.add_table, f.mul_table, f.inv_table,
+                            f.neg_table)).encode())
+    assert digest.hexdigest() == (
+        "89603294cd7e853d6d2a688e848123ecef0f3d8d8de0dbaef172e56709bb9ff3")
 
 
 def test_pinned_small_field_values():

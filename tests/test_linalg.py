@@ -285,6 +285,28 @@ def test_row_reduce_and_null_space():
     assert linalg.solve_consistent([], [], F2)
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
+def test_row_reduce_gives_reduced_echelon_form(q):
+    # pivot columns strictly increase, each pivot is 1, and every pivot
+    # column is zero outside its pivot row; the inputs mix empty matrices,
+    # all-zero rows and sparse random rows
+    field = gf.field_make(q)
+    rng = random.Random(400 + q)
+    cases = [[], [[0, 0, 0]], [[0] * 4, [0] * 4]]
+    for _ in range(300):
+        ncols = rng.randrange(1, 7)
+        density = rng.random()
+        cases.append([[rng.randrange(1, q) if rng.random() < density else 0
+                       for _ in range(ncols)] for _ in range(rng.randrange(1, 7))])
+    for rows in cases:
+        reduced = linalg.row_reduce(rows, field)
+        pivots = [next(i for i, v in enumerate(r) if v) for r in reduced]
+        assert pivots == sorted(set(pivots))
+        for r, p in zip(reduced, pivots):
+            assert r[p] == 1
+            assert all(other[p] == 0 for other in reduced if other is not r)
+
+
 def test_null_space_vectors_annihilate():
     rng = random.Random(17)
     for _ in range(20):

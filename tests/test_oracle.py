@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -360,6 +361,23 @@ def test_alternating_censuses(n, q, expected):
     fixed = count_c_invariant(n, q, "supercharacters")
     assert families.supercharacters == fixed + (full - fixed) // q
     assert (full - fixed) % q == 0
+
+
+def test_size_guard_reports_a_needed_size_past_the_digit_limit():
+    # u_200(F_2)* has 2^19900 functionals, a 5991-digit size: the guard
+    # still raises SpaceTooLarge with the exact size, under the interpreter's
+    # default int-to-str digit limit, and leaves that limit as it found it
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SpaceTooLarge) as info:
+            count_supercharacter_families(200, 2)
+        assert info.value.needed == 2 ** 19900
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_tech_lem1_guard_refuses_the_tuples_unbuilt(monkeypatch):
