@@ -31,12 +31,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
 from .combinat import PATH_FAMILIES, LabeledLatticePath, LabeledSetPartition, path_blocks
 from .errors import NotClassX, NotInFamily
 from .gf import FieldSpec, field_make
-from .linalg import Functional, block_decomposition, solve_consistent
+from .linalg import Functional, block_bounds, block_decomposition, row_starts, solve_consistent
 
 STEP_R = (1, 0)
 STEP_N = (1, 1)
@@ -68,24 +69,29 @@ class ClassXWitness:
     offending_block: int | None
 
 
-def _block_kind(block) -> str | None:
-    m = len(block)
-    if m == 1:
+def _block_kind(codes, start, a: int, b: int) -> str | None:
+    """The type of the block on rows a..b-1, from the codes of those rows,
+    which are zero outside it: past size 1, the superdiagonal (each row's
+    second code) is nonzero, and besides it only the corner of an odd
+    block may be, for type (c)."""
+    if b - a == 1:
         return "a"
-    support = {(r, s) for r in range(m) for s in range(m) if block[r][s]}
-    superdiag = {(i, i + 1) for i in range(m - 1)}
-    if support == superdiag:
+    if not all([codes[s + 1] for s in start[a:b - 1]]):
+        return None
+    rows = codes[start[a]:start[b]]
+    others = len(rows) - rows.count(0) - (b - a - 1)
+    if not others:
         return "b"
-    if m % 2 == 1 and support == superdiag | {(0, 0)}:
-        return "c"
-    return None
+    return "c" if others == 1 and codes[start[a]] and (b - a) % 2 else None
 
 
 def classify_functional(lam: Functional) -> ClassXWitness:
     """Type every block of the upper form of lambda and classify it."""
+    codes, start = lam.codes, row_starts(lam.n)
     blocks = tuple(block_decomposition(lam))
-    kinds = tuple(_block_kind(b) for b in blocks)
-    offending = next((i for i, k in enumerate(kinds) if k is None), None)
+    ends = list(accumulate(map(len, blocks), initial=0))
+    kinds = tuple([_block_kind(codes, start, a, b) for a, b in zip(ends, ends[1:])])
+    offending = kinds.index(None) if None in kinds else None
     if offending is not None:
         classification = NEITHER
     elif "c" in kinds:
@@ -114,55 +120,55 @@ def path_to_functional(path: LabeledLatticePath) -> Functional:
     The step starting at coordinate sum d, with i = d + 1, contributes
     nothing for R, t e*_{i,i+1} for U(t), t e*_{i,i+2} for N(t) and
     t e*_{i-1,i+1} + u e*_{i,i+2} for UU(t,u).  The result lives on u_n
-    for n = span + 1.
+    for n = span + 1; e*_{i,i+1} and e*_{i,i+2} are the first two codes
+    of row d of its upper form.
     """
-    _check_steps(path, HEIS_STEPS, "heis")
+    kinds = _check_steps(path, HEIS_STEPS, "heis")
     field = field_make(path.q)
-    n = path.span + 1
-    entries: dict[tuple[int, int], int] = {}
+    n = sum(map(sum, kinds)) + 1  # the span plus one
+    start = row_starts(n)
+    codes = [0] * start[-1]
     d = 0
     for step, labels in path.steps:
-        i = d + 1
         if step == STEP_U:
-            entries[i, i + 1] = labels[0]
+            codes[start[d]] = labels[0]
         elif step == STEP_N:
-            entries[i, i + 2] = labels[0]
+            codes[start[d] + 1] = labels[0]
         elif step == STEP_UU:
-            entries[i - 1, i + 1] = labels[0]
-            entries[i, i + 2] = labels[1]
+            codes[start[d - 1] + 1] = labels[0]
+            codes[start[d] + 1] = labels[1]
         d += step[0] + step[1]
-    return Functional.from_dict(n, field, entries)
+    return Functional.from_codes(n, field, tuple(codes))
 
 
 def functional_to_path(lam: Functional) -> LabeledLatticePath:
-    """The inverse of path_to_functional on class-X functionals.
+    """The inverse of path_to_functional on class-X functionals: each
+    block is typed and read as steps from the first two codes of its rows.
 
     Raises NotClassX (carrying the block index) when some block of the
     upper form of lambda has no valid type, and ValueError on u_0, which
-    no path maps to (the empty path is the path of u_1).
+    no path maps to (the empty path is the path of u_1), or on a label
+    that is not a nonzero code of F_q.
     """
     if lam.n < 1:
         raise ValueError(f"no path maps to a functional on u_{lam.n}; n must be >= 1")
-    witness = classify_functional(lam)
-    if witness.offending_block is not None:
-        raise NotClassX(witness.offending_block)
+    codes, start = lam.codes, row_starts(lam.n)
     steps = []
-    for block, kind in zip(witness.blocks, witness.kinds):
-        m = len(block)
-        ts = [block[i][i + 1] for i in range(m - 1)]
+    for index, (a, b) in enumerate(block_bounds(lam)):
+        corner = codes[start[a]]
+        kind = _block_kind(codes, start, a, b)
+        if kind is None:
+            raise NotClassX(index)
         if kind == "a":
-            value = block[0][0]
-            steps.append((STEP_U, (value,)) if value else (STEP_R, ()))
+            steps.append((STEP_U, (corner,)) if corner else (STEP_R, ()))
             continue
-        if kind == "b" and m % 2 == 1:
-            steps.append((STEP_R, ()))
-        elif kind == "b":
-            steps.append((STEP_N, (ts[0],)))
-            ts = ts[1:]
+        ts = [codes[s + 1] for s in start[a:b - 1]]
+        if kind == "c":
+            steps.append((STEP_U, (corner,)))
         else:
-            steps.append((STEP_U, (block[0][0],)))
-        for a in range(0, len(ts), 2):
-            steps.append((STEP_UU, (ts[a], ts[a + 1])))
+            steps.append((STEP_N, (ts.pop(0),)) if len(ts) % 2 else (STEP_R, ()))
+        pairs = iter(ts)
+        steps += [(STEP_UU, pair) for pair in zip(pairs, pairs)]
     return LabeledLatticePath(lam.field.q, tuple(steps))
 
 

@@ -158,6 +158,7 @@ def check_tech_lem1(d: int, q: int, limit: int | None = None) -> list[CheckCase]
                        oracle.tech_lem1_bruteforce(d, q, limit))]
     n = 2 * d + 2
     field = field_make(q)
+    guard_space(oracle.tech_lem1_orbit_space(d, q), limit)
     lam = Functional.from_dict(n, field,
                                {(i, i + 2): 1 for i in range(1, 2 * d + 1)})
     cases.append(CheckCase("tech-lem1", d, q, "coadjoint orbit size (all-ones)",
@@ -224,8 +225,9 @@ MIN_INDEX = {"bell-thm": 1, "heis-thm": 1, "del-thm": 1, "deg-cor": 2,
 
 # The closed-form spaces that one (n, q) case of each check guards, as
 # (space function, its arguments...) in the order the check meets them, so
-# that each is sized only once those before it fit.  tech-lem1's orbit
-# search is guarded as it runs: its size is what the search finds.
+# that each is sized only once those before it fit.  The lower bound that
+# enumerate_partitions guards first matters only where no census precedes
+# it: a census of u_n* is never smaller than the partitions of [n].
 CHECK_SPACES = {
     "bell-thm": lambda n, q: ((oracle.census_space, "full", n, q),
                               (combinat.partition_space, n, q)),
@@ -237,7 +239,8 @@ CHECK_SPACES = {
                              (combinat.partition_space, n, q)),
     "deg-cor": lambda n, q: ((combinat.path_space, "heis_tilde", n, q),
                              (oracle.xi_space, n, q)),
-    "fe-thm": lambda n, q: ((combinat.partition_space, n, q),
+    "fe-thm": lambda n, q: ((combinat.partition_floor_space, n, q),
+                            (combinat.partition_space, n, q),
                             (oracle.census_space, "full", n, q),
                             (combinat.partition_space, n - 1, q)),
     "c-irr-thm": lambda n, q: ((oracle.census_space, "full", n, q),),
@@ -245,7 +248,9 @@ CHECK_SPACES = {
                                 (oracle.xi_space, n, q),
                                 (combinat.path_space, "heis_tilde", n, q),
                                 (combinat.path_space, "inv_tilde", n - 1, q)),
-    "tech-lem1": lambda d, q: ((oracle.tech_lem1_space, d, q),),
+    "tech-lem1": lambda d, q: ((oracle.tech_lem1_space, d, q),
+                              (oracle.tangent_space, 2 * d + 2, q),
+                              (oracle.tech_lem1_orbit_space, d, q)),
     "alt-thm": lambda n, q: ((oracle.census_space, "alternating", n, q),
                              (oracle.conjugacy_space, "truncated_alternating", n, q),
                              (oracle.census_space, "full", n, q)),

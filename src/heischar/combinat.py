@@ -265,6 +265,12 @@ def path_space(family: str, n: int, q: int) -> Space:
                  f"path family {family}({n}, F_{q})")
 
 
+def partition_floor_space(n: int, q: int) -> Space:
+    """The q^(n-1) partitions with arcs (i, i+1) only: a lower bound on
+    partition_space, guarded before it is counted."""
+    return Space(q ** max(n - 1, 0), f"partitions of [{n}] over F_{q}", at_least=True)
+
+
 def partition_space(n: int, q: int) -> Space:
     """The labeled set partitions of [n] over F_q, of every filter."""
     return Space(counting.poly("bell", n)(q - 1), f"partitions of [{n}] over F_{q}")
@@ -407,6 +413,7 @@ def enumerate_partitions(n: int, q: int, filter: str = "all",
     if n < 0:
         raise ValueError("n must be >= 0")
     field_make(q)
+    guard_space(partition_floor_space(n, q), limit)
     guard_space(partition_space(n, q), limit)
     return _walk_partitions(n, q, filter)
 

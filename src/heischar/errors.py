@@ -103,17 +103,20 @@ def space_limit(limit: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Space:
-    """A space that a size guard refuses unbuilt: its size, its description
-    and whether the guarded call takes a limit argument (when it does not,
-    only HEISCHAR_SPACE_LIMIT can raise the guard)."""
+    """A space that a size guard refuses unbuilt: its size (or a lower
+    bound on it), its description and whether the guarded call takes a
+    limit argument (when it does not, only HEISCHAR_SPACE_LIMIT can raise
+    the guard)."""
 
     size: int
     what: str
     takes_limit: bool = True
+    at_least: bool = False
 
 
 def guard_space(space: Space, limit: int | None = None) -> None:
     """Raise SpaceTooLarge when the space exceeds the active size guard."""
     bound = space_limit(limit if space.takes_limit else None)
     if space.size > bound:
-        raise SpaceTooLarge(bound, space.size, space.what, limit_arg=space.takes_limit)
+        raise SpaceTooLarge(bound, space.size, space.what, limit_arg=space.takes_limit,
+                            at_least=space.at_least)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import DimensionMismatch
 from .gf import FieldSpec
@@ -285,6 +286,13 @@ def act(mode: str, g: UnitriangularElement, lam: Functional) -> Functional:
     return Functional.from_dict(n, field, out)
 
 
+@lru_cache(maxsize=None)
+def row_starts(n: int) -> tuple[int, ...]:
+    """Row a of the upper form of a functional on u_n is
+    codes[start[a]:start[a + 1]], its diagonal cell first."""
+    return tuple(accumulate(range(n - 1, 0, -1), initial=0))
+
+
 def upper_form(lam: Functional) -> tuple[tuple[int, ...], ...]:
     """The (n-1) x (n-1) upper form of the matrix of lambda.
 
@@ -301,33 +309,44 @@ def upper_form(lam: Functional) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def block_bounds(lam: Functional) -> list[tuple[int, int]]:
+    """The rows (a, b) = a..b-1 of each block of block_decomposition.
+
+    A nonzero U[i][j] forbids exactly the cuts i < c <= j, so one pass
+    over the rows of codes keeps ``reach``, the largest such j so far,
+    and cuts after row c - 1 when reach < c.  Past its first two cells,
+    a row is searched for its last nonzero only when it has one.
+    """
+    codes, start, m = lam.codes, row_starts(lam.n), lam.n - 1
+    bounds, a, reach = [], 0, 0
+    for c, s, t in zip(range(1, m), start, start[1:]):
+        if any(codes[s + 2:t]):
+            j = t - 1
+            while not codes[j]:
+                j -= 1
+            reach = max(reach, j - s + c - 1)
+        elif codes[s + 1] and reach < c:
+            reach = c
+        if reach < c:
+            bounds.append((a, c))
+            a = c
+    if m > 0:
+        bounds.append((a, m))
+    return bounds
+
+
 def block_decomposition(lam: Functional) -> list[tuple[tuple[int, ...], ...]]:
     """Maximal block-diagonal decomposition of the upper form of lambda.
 
     A cut after row/column c (1 <= c <= n-2 in the upper form) is valid when
     U[i][j] = 0 whenever exactly one of i, j is <= c.  The decomposition
     cuts at every valid c, so the returned square diagonal blocks
-    B_1, ..., B_l are as small as possible and their sizes sum to n-1.
-
-    U is upper triangular, so with 0-based indices a nonzero U[i][j]
-    forbids exactly the cuts i < c <= j.  One pass over the rows keeps
-    ``reach``, the largest such j so far; the cut after row c - 1 is valid
-    when reach < c.  Only the columns beyond the current reach are scanned.
+    B_1, ..., B_l are as small as possible and their sizes sum to n-1;
+    they are sliced from the codes at their block_bounds.
     """
-    u = upper_form(lam)
-    m = len(u)
-    if not m:
-        return []
-    cuts, reach = [0], 0
-    for c, row in enumerate(u[:-1], start=1):
-        for j in range(m - 1, reach, -1):
-            if row[j]:
-                reach = j
-                break
-        if reach < c:
-            cuts.append(c)
-    cuts.append(m)
-    return [tuple(row[a:b] for row in u[a:b]) for a, b in zip(cuts, cuts[1:])]
+    codes, start = lam.codes, row_starts(lam.n)
+    return [tuple([(0,) * (r - a) + codes[s:s + b - r] for r, s in enumerate(start[a:b], a)])
+            if b - a > 1 else (codes[start[a]:start[a] + 1],) for a, b in block_bounds(lam)]
 
 
 # ------------------------------------------------- linear algebra over F_q

@@ -552,6 +552,17 @@ def tech_lem1_space(d: int, q: int) -> Space:
     return Space((q - 1) ** (2 * d), f"label tuples (F_{q}^x)^{2 * d}")
 
 
+def tangent_space(n: int, q: int) -> Space:
+    """The npos x npos cells that tangent fills on u_n."""
+    npos = n * (n - 1) // 2
+    return Space(npos * npos, f"tangent cells of u_{n}(F_{q})*")
+
+
+def tech_lem1_orbit_space(d: int, q: int) -> Space:
+    """The q^{2d} states of the all-ones orbit that tech-lem1 closes."""
+    return Space(q ** (2 * d), f"coadjoint orbit in u_{2 * d + 2}(F_{q})*")
+
+
 def conjugacy_space(group: str, n: int, q: int) -> Space:
     """The group elements modulo 1 + n^3 whose classes conjugacy_classes
     sweeps; in ker(sigma) one d1 entry is fixed by the others."""
@@ -705,11 +716,12 @@ def tech_lem1_bruteforce(d: int, q: int, limit: int | None = None) -> int:
     superdiagonal functional sum t_i e*_{i,i+2} on u_{2d+2}, translated
     by the full superdiagonal sum gamma, stays in its own coadjoint
     orbit.  That orbit is the affine space lam + T_lam (see tangent), so
-    each tuple is one test of gamma in T_lam, and the tuples are
-    refused past the size guard before any is tried."""
+    each tuple is one test of gamma in T_lam, and the tuples and the
+    tangent's cells are refused past the size guard before any is tried."""
     n = 2 * d + 2
     field = field_make(q)
     guard_space(tech_lem1_space(d, q), limit)
+    guard_space(tangent_space(n, q), limit)
     gamma_codes = gamma(n, field).codes
     count = 0
     for ts in product(range(1, q), repeat=2 * d):

@@ -1,6 +1,8 @@
 """Path/functional/partition translations and invariance predicates."""
 
+import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -19,7 +21,9 @@ from heischar.bijections import (
     path_to_functional,
     pell_path_to_partition,
 )
+from heischar.cli import run
 from heischar.combinat import (
+    LabeledLatticePath,
     LabeledSetPartition,
     enumerate_partitions,
     enumerate_paths,
@@ -129,6 +133,214 @@ def test_round_trip_and_image(n, q):
             classified.add(lam.codes)
             assert path_to_functional(functional_to_path(lam)) == lam
     assert image == classified
+
+
+# ------------------------------------------------ reference route for blocks
+# The route the bijection took before it read blocks off the codes: the
+# whole upper form, its blocks cut by a scan of each row from the right,
+# each block typed by its set of nonzero cells, and paths read off the
+# typed blocks; functionals built from paths through Functional.from_dict.
+def reference_upper_form(lam):
+    m, codes = lam.n - 1, lam.codes
+    rows, start = [], 0
+    for a in range(m):
+        rows.append((0,) * a + codes[start:start + m - a])
+        start += m - a
+    return tuple(rows)
+
+
+def reference_block_decomposition(lam):
+    u = reference_upper_form(lam)
+    m = len(u)
+    if not m:
+        return []
+    cuts, reach = [0], 0
+    for c, row in enumerate(u[:-1], start=1):
+        for j in range(m - 1, reach, -1):
+            if row[j]:
+                reach = j
+                break
+        if reach < c:
+            cuts.append(c)
+    cuts.append(m)
+    return [tuple(row[a:b] for row in u[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def reference_block_kind(block):
+    m = len(block)
+    if m == 1:
+        return "a"
+    support = {(r, s) for r in range(m) for s in range(m) if block[r][s]}
+    superdiag = {(i, i + 1) for i in range(m - 1)}
+    if support == superdiag:
+        return "b"
+    if m % 2 == 1 and support == superdiag | {(0, 0)}:
+        return "c"
+    return None
+
+
+def reference_classify(lam):
+    blocks = tuple(reference_block_decomposition(lam))
+    kinds = tuple(reference_block_kind(b) for b in blocks)
+    offending = next((i for i, k in enumerate(kinds) if k is None), None)
+    if offending is not None:
+        classification = NEITHER
+    elif "c" in kinds:
+        classification = CLASS_X
+    else:
+        classification = CLASS_Y
+    return bijections.ClassXWitness(classification, blocks, kinds, offending)
+
+
+def reference_functional_to_path(lam, witness=None):
+    if lam.n < 1:
+        raise ValueError(f"no path maps to a functional on u_{lam.n}; n must be >= 1")
+    witness = witness or reference_classify(lam)
+    if witness.offending_block is not None:
+        raise NotClassX(witness.offending_block)
+    steps = []
+    for block, kind in zip(witness.blocks, witness.kinds):
+        m = len(block)
+        ts = [block[i][i + 1] for i in range(m - 1)]
+        if kind == "a":
+            value = block[0][0]
+            steps.append(((0, 1), (value,)) if value else ((1, 0), ()))
+            continue
+        if kind == "b" and m % 2 == 1:
+            steps.append(((1, 0), ()))
+        elif kind == "b":
+            steps.append(((1, 1), (ts[0],)))
+            ts = ts[1:]
+        else:
+            steps.append(((0, 1), (block[0][0],)))
+        for a in range(0, len(ts), 2):
+            steps.append(((0, 2), (ts[a], ts[a + 1])))
+    return LabeledLatticePath(lam.field.q, tuple(steps))
+
+
+def reference_path_to_functional(path):
+    entries, d = {}, 0
+    for step, labels in path.steps:
+        i = d + 1
+        if step == (0, 1):
+            entries[i, i + 1] = labels[0]
+        elif step == (1, 1):
+            entries[i, i + 2] = labels[0]
+        elif step == (0, 2):
+            entries[i - 1, i + 1] = labels[0]
+            entries[i, i + 2] = labels[1]
+        d += step[0] + step[1]
+    return linalg.Functional.from_dict(path.span + 1, gf.field_make(path.q), entries)
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and args of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the comparison is of the error itself
+        return type(exc), exc.args
+
+
+def assert_matches_reference(lam):
+    witness = reference_classify(lam)
+    assert classify_functional(lam) == witness, lam.codes
+    assert linalg.block_decomposition(lam) == list(witness.blocks), lam.codes
+    assert outcome(functional_to_path, lam) == outcome(
+        reference_functional_to_path, lam, witness), lam.codes
+
+
+def sampled_functional(rng, n, q, near=(0.6, 0.6), far=0.08, codes=None):
+    """Random codes, nonzero with the given odds on the first two
+    superdiagonals and beyond them, so that classes X and Y occur; codes
+    are drawn from the given pool, else from the nonzero codes of F_q."""
+    pool = codes or range(1, q)
+    odds = [*near, far]
+    return linalg.Functional.from_codes(n, gf.field_make(q), tuple(
+        rng.choice(pool) if rng.random() < odds[min(j - i - 1, 2)] else 0
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+
+
+@pytest.mark.parametrize("n,q", [(n, 2) for n in range(7)] + [(n, 3) for n in range(6)])
+def test_block_kernel_matches_reference_exhaustively(n, q):
+    field = gf.field_make(q)
+    for codes in product(range(q), repeat=n * (n - 1) // 2):
+        assert_matches_reference(linalg.Functional.from_codes(n, field, codes))
+
+
+@pytest.mark.parametrize("q", (4, 5, 8, 9))
+def test_block_kernel_matches_reference_sampled(q):
+    rng = random.Random(q)
+    classes = Counter()
+    for _ in range(700):
+        lam = sampled_functional(rng, rng.randint(1, 12), q)
+        assert_matches_reference(lam)
+        classes[classify_functional(lam).classification] += 1
+    assert set(classes) == {CLASS_X, CLASS_Y, NEITHER}
+
+
+def test_functional_to_path_names_the_first_offending_block():
+    # blocks 0 and 2 have no type: each is cut around one far cell, U[0][2]
+    # from e*_{1,4} and U[4][6] from e*_{5,8}
+    lam = linalg.Functional.from_dict(8, F3, {(1, 4): 1, (4, 5): 2, (5, 8): 1})
+    assert classify_functional(lam).kinds == (None, "a", None)
+    with pytest.raises(NotClassX) as info:
+        functional_to_path(lam)
+    assert info.value.block_index == 0
+    assert info.value.args == ("block 0 has no valid type",)
+    # an untyped block wins over an out-of-range label in a block before it
+    bad = linalg.Functional.from_codes(5, F3, (7, 0, 0, 0, 0, 0, 1, 0, 0, 0))
+    assert classify_functional(bad).kinds == ("a", None)
+    with pytest.raises(NotClassX) as info:
+        functional_to_path(bad)
+    assert info.value.block_index == 1
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_out_of_range_codes_raise_as_before(q):
+    # Functional.from_codes does not range-check; the path's own check
+    # refuses the label, with the message the reference route gives
+    lam = linalg.Functional.from_codes(3, gf.field_make(q), (q, 0, 0))
+    with pytest.raises(ValueError, match=f"label {q} is not a nonzero code of F_{q}"):
+        functional_to_path(lam)
+    rng = random.Random(q)
+    for _ in range(400):
+        lam = sampled_functional(rng, rng.randint(1, 7), q, codes=(1, q - 1, q, q + 3, -1))
+        assert_matches_reference(lam)
+    with pytest.raises(ValueError, match="u_0"):
+        functional_to_path(linalg.Functional.zero(0, gf.field_make(q)))
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3, 4) for n in range(1, 9)
+                                 if (n, q) != (8, 4)]
+                         + [pytest.param(8, 4, marks=pytest.mark.slow)])
+def test_path_to_functional_matches_from_dict_route(n, q):
+    for path in enumerate_paths("heis_tilde", n, q):
+        assert path_to_functional(path).codes == reference_path_to_functional(path).codes
+
+
+def test_map_output_matches_reference(monkeypatch, capsys):
+    # the CLI's map classify and map functional-to-path, on a seeded
+    # sample of functionals of every class and of out-of-range codes,
+    # print and exit exactly as they do with the reference route
+    rng = random.Random(24)
+    argvs = []
+    for _ in range(60):
+        q = rng.choice((2, 3, 4, 5, 8, 9))
+        n = rng.randint(0, 8)
+        pool = (1, q - 1, q) if rng.random() < 0.2 else None
+        lam = sampled_functional(rng, n, q, codes=pool)
+        text = linalg.functional_to_text(lam)
+        for op in ("classify", "functional-to-path"):
+            argvs.append(["map", op, text, *rng.choice(((), ("--format", "json")))])
+
+    def outputs():
+        return [(run(argv), *capsys.readouterr()) for argv in argvs]
+
+    ours = outputs()
+    monkeypatch.setattr(bijections, "classify_functional", reference_classify)
+    monkeypatch.setattr(bijections, "functional_to_path", reference_functional_to_path)
+    assert ours == outputs()
+    assert {code for code, _, _ in ours} == {0, 2}
 
 
 # -------------------------------------------------------- pell -> partitions

@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -671,15 +673,73 @@ def test_space_guard_exit_3(capsys, monkeypatch):
 
 
 def test_orbit_guard_exit_3(capsys, monkeypatch):
-    # an orbit outgrowing --limit mid-search exits 3 and names the orbit
+    # an orbit past --limit exits 3 and names the orbit, before its search
     monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
-    # (the 4 label tuples fit the limit, the 9-point all-ones orbit does not)
-    code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", "1", "--q", "3",
-                            "--limit", "4")
+
+    def refuse(*args):
+        raise AssertionError("a case was computed")
+
+    monkeypatch.setattr(oracle, "tangent", refuse)
+    monkeypatch.setattr(oracle, "_closure", refuse)
+    # (the 256 label tuples and 225 tangent cells fit the limit, the
+    # 625-point all-ones orbit does not)
+    code, out, err = invoke(capsys, "verify", "tech-lem1", "--n", "2", "--q", "5",
+                            "--limit", "300")
     assert code == 3
     assert out == ""
-    assert err == ("error: coadjoint orbit in u_4(F_3)* exceeds the size guard of 4 "
-                   "(needs at least 5); set HEISCHAR_SPACE_LIMIT or raise the limit "
+    assert err == ("error: coadjoint orbit in u_6(F_5)* exceeds the size guard of 300 "
+                   "(needs 625); set HEISCHAR_SPACE_LIMIT or raise the limit "
+                   "argument\n")
+
+
+def capped_run(*argv, address_space=1 << 30):
+    """The CLI in a child process with its address space capped and the
+    default size guard, so that a guard that fails to refuse ends in a
+    MemoryError of the child, not in the machine running out of memory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "HEISCHAR_SPACE_LIMIT"}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-S", "-m", "heischar", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**env, "PYTHONPATH": src}, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("d,error", [
+    ("3000", "tangent cells of u_6002(F_2)* exceeds the size guard of 16777216 "
+             "(needs 324324117018001)"),
+    ("13", "coadjoint orbit in u_28(F_2)* exceeds the size guard of 16777216 "
+           "(needs 67108864)")])
+def test_tech_lem1_at_q2_is_refused_before_it_allocates(d, error):
+    # at q = 2 there is one label tuple for every d; the tangent's cells
+    # and the all-ones orbit's q^{2d} states are refused in closed form
+    proc = capped_run("verify", "tech-lem1", "--n", d, "--q", "2")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"error: {error}; set HEISCHAR_SPACE_LIMIT or raise the "
+                           "limit argument\n")
+
+
+def test_partition_guard_refuses_by_its_lower_bound_first(capsys, monkeypatch):
+    # the 2^2999 partitions of [3000] with arcs (i, i+1) alone are past the
+    # guard, so the exact count is never built
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "enumerate", "--family", "partitions",
+                            "--n", "3000", "--q", "2")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    with exact_ints():
+        assert err == ("error: partitions of [3000] over F_2 exceeds the size guard of "
+                       f"16777216 (needs at least {2 ** 2999}); set HEISCHAR_SPACE_LIMIT "
+                       "or raise the limit argument\n")
+    # where the bound fits, the exact count is refused as before
+    code, out, err = invoke(capsys, "enumerate", "--family", "partitions",
+                            "--n", "14", "--q", "2")
+    assert (code, out) == (3, "")
+    assert err == ("error: partitions of [14] over F_2 exceeds the size guard of 16777216 "
+                   "(needs 190899322); set HEISCHAR_SPACE_LIMIT or raise the limit "
                    "argument\n")
 
 
@@ -741,15 +801,10 @@ def test_sweep_guard_trips_where_the_cases_would(name, above, q, monkeypatch):
     for limit in sorted({0} | {size - 1 for size in sizes if size}):
         with pytest.raises(SpaceTooLarge) as swept:
             checks.run_check(name, [n], [q], limit)
-        if name == "tech-lem1":  # its orbit search would trip first
-            assert str(swept.value) == str(SpaceTooLarge(
-                limit, (q - 1) ** (2 * n), f"label tuples (F_{q}^x)^{2 * n}"))
-            continue
         with pytest.raises(SpaceTooLarge) as case:
             checks.CHECKS[name](n, q, limit)
         assert str(swept.value) == str(case.value)
-    if name != "tech-lem1":
-        assert all(c.passed for c in checks.CHECKS[name](n, q, max(sizes)))
+    assert all(c.passed for c in checks.CHECKS[name](n, q, max(sizes)))
 
 
 def test_sweep_guard_sizes_later_spaces_only_when_earlier_fit(monkeypatch):

@@ -457,7 +457,13 @@ def test_space_guard_trips(monkeypatch):
     with pytest.raises(SpaceTooLarge) as info:
         list(enumerate_partitions(3, 2, "all", limit=1))
     assert info.value.bound == 1
+    # the q^(n-1) partitions with arcs (i, i+1) only already pass the limit
+    assert info.value.needed == 4
+    assert "(needs at least 4)" in str(info.value)
+    with pytest.raises(SpaceTooLarge) as info:
+        list(enumerate_partitions(3, 2, "all", limit=4))
     assert info.value.needed == 5
+    assert "(needs 5)" in str(info.value)
     with pytest.raises(SpaceTooLarge):
         list(enumerate_paths("heis_tilde", 5, 2, limit=10))
     monkeypatch.setenv("HEISCHAR_SPACE_LIMIT", "1")
