@@ -19,7 +19,8 @@ head``), which ends the output quietly.
 ``count`` evaluates polynomials while ``enumerate`` streams the actual
 objects, so piping ``enumerate`` through a line count and comparing with
 ``count`` cross-checks the two routes.  Text and csv ``enumerate`` output is
-written in chunks as it is produced; json is built whole.  The checks of
+written in chunks as it is produced, csv lines formatted directly with the
+item quoted only when it holds a comma; json is built whole.  The checks of
 every (n, q) pair run before the first byte is written.
 """
 
@@ -35,7 +36,7 @@ import re
 import sys
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
 
 from . import bijections, checks, combinat, counting
@@ -114,7 +115,8 @@ def _csv_chunks(rows, fields, per: int):
 
 def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None) -> None:
     """Write lines (text), payload (json; a one-item list as its item) or rows
-    (csv; sequences in the order of fields).
+    (csv; sequences in the order of fields).  With no fields, csv is written
+    from lines as the caller formatted them, header first.
 
     lines and rows may be lazy: text and csv are written lines_per_write
     lines at a time (default a few thousand; one for commands whose lines
@@ -127,7 +129,7 @@ def _emit(args, lines, payload, rows, fields, lines_per_write: int | None = None
             if isinstance(payload, list) and len(payload) == 1:
                 payload = payload[0]
             chunks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
-        elif args.format == "csv":
+        elif args.format == "csv" and fields:
             chunks = _csv_chunks(rows, fields, per)
         else:
             chunks = _text_chunks(lines, per)
@@ -183,22 +185,25 @@ def _cmd_enumerate(args) -> int:
     if kind == "paths":
         texts = partial(combinat.enumerate_path_texts, efam, limit=args.limit)
     else:
-        def texts(n, q):
-            return map(combinat.partition_to_text,
-                       combinat.enumerate_partitions(n, q, efam, args.limit))
+        texts = partial(combinat.enumerate_partition_texts, filter=efam, limit=args.limit)
     streams = [(n, q, texts(n, q)) for n in parse_int_list(args.n) for q in qs]
     if args.format == "json":
         blocks = [{"family": args.family, "n": n, "q": q, "items": list(items)}
                   for n, q, items in streams]
         _emit(args, (), blocks, (), ())
     elif args.format == "csv":
-        rows = chain.from_iterable(
-            zip(repeat(args.family), repeat(str(n)), repeat(str(q)), items)
-            for n, q, items in streams)
-        _emit(args, (), None, rows, ("family", "n", "q", "item"))
+        lines = chain(["family,n,q,item"], *(_csv_lines(args.family, *s) for s in streams))
+        _emit(args, lines, None, (), ())
     else:
         _emit(args, chain.from_iterable(items for _, _, items in streams), None, (), ())
     return 0
+
+
+def _csv_lines(family: str, n: int, q: int, items):
+    """enumerate's csv lines as csv.writer writes them: an item holds no quote
+    or line break, so it is quoted just when it holds a comma (UU(a,b), D12(a,b))."""
+    head = f"{family},{n},{q},"
+    return (f'{head}"{item}"' if "," in item else head + item for item in items)
 
 
 def _require(args, flag: str):

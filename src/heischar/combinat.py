@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product
+from itertools import chain, product, starmap
 
 from . import counting
 from .errors import NotAPartition, Space, UnknownFamily, guard_space
@@ -90,6 +90,8 @@ class LabeledSetPartition:
 
     ``arcs`` is a sorted tuple of (i, j, label) with i < j, sources
     pairwise distinct, targets pairwise distinct, labels in 1 .. q-1.
+    The enumerators build their partitions unchecked from arcs of that
+    form by construction (``_unchecked_partition``).
     """
 
     n: int
@@ -128,6 +130,13 @@ class LabeledSetPartition:
 
     def __str__(self):
         return partition_to_text(self)
+
+
+def _unchecked_partition(n: int, q: int, arcs: tuple) -> LabeledSetPartition:
+    """A partition from valid arcs, built as _unchecked_path builds a path."""
+    part = object.__new__(LabeledSetPartition)
+    part.__dict__.update(n=n, q=q, arcs=arcs)
+    return part
 
 
 def arcs_of(blocks) -> list[tuple[int, int]]:
@@ -293,27 +302,27 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
 def enumerate_path_texts(family: str, n: int, q: int, limit: int | None = None):
     """path_to_text of every path of enumerate_paths, in its order and with
     its checks at the call, without building the paths."""
-    def head(prefix) -> str:
-        # only the origin's own block has an empty prefix: the empty path
-        return " ".join(map(_token, prefix)) or "-"
-    return chain.from_iterable(map(head(prefix).__add__, texts)
-                               for prefix, (_, texts) in path_blocks(family, n, q, limit))
+    # only the origin's own block has an empty head: the empty path, "-"
+    return chain.from_iterable(map((head[1:] or "-").__add__, texts)
+                               for head, (_, texts) in path_blocks(family, n, q, limit, text=True))
 
 
-def path_blocks(family: str, n: int, q: int, limit: int | None = None):
+def path_blocks(family: str, n: int, q: int, limit: int | None = None, *,
+                text: bool = False):
     """The family's paths as blocks (prefix, (tails, texts)), with the
     checks of enumerate_paths at the call.
 
     A block stands for the paths prefix + tail, tail in tails, in stream
     order; texts[i] is the text tails[i] appends to the prefix's text (""
-    or " " followed by its tokens).  Blocks share their tables, which
-    must not be changed.
+    or " " followed by its tokens).  With text=True a block's prefix is
+    given as that text instead.  Blocks share their tables, which must
+    not be changed.
     """
     if family not in PATH_FAMILIES:
         raise UnknownFamily(f"unknown path family {family!r}")
     field_make(q)  # validates q
     guard_space(path_space(family, n, q), limit)
-    return _walk_paths(family, n, q)
+    return _walk_paths(family, n, q, text)
 
 
 # most tails a suffix table holds; a coordinate sum with more completions
@@ -321,23 +330,24 @@ def path_blocks(family: str, n: int, q: int, limit: int | None = None):
 _TABLE_CAP = 4096
 
 
-def _walk_paths(family: str, n: int, q: int):
+def _walk_paths(family: str, n: int, q: int, text: bool):
     """The blocks of path_blocks, once its checks have passed.
 
     Each coordinate sum ``total`` has a precomputed list of options
-    (entry, total after the entry); no step returns to the origin, so
-    its list holds the first step's options, which the tilde families
+    (entry, total after the entry, piece); no step returns to the origin,
+    so its list holds the first step's options, which the tilde families
     restrict.  The suffix table of a total lists its completions in
     stream order: the empty tail when the total lies on a target line,
     then, option by option, the entry followed by each tail of the total
     after it.  Tables are built from the target line back toward the
     origin, for every total with at most _TABLE_CAP completions; the
-    prefixes are then walked depth first with an explicit stack, and a
-    prefix reaching a total with a table is yielded with that table as
-    one block.  A prefix on a target line whose total has no table is
-    yielded alone, then extended.  The rows pair each step of the family
-    with every tuple of labels in 1 .. q-1, so every path is a tuple of
-    valid entries.
+    prefixes are then walked depth first with an explicit stack, each
+    the prefix below it plus the option's piece: (entry,), or with text
+    its word " " + token.  A prefix reaching a total with a table is
+    yielded with that table as one block.  A prefix on a target line
+    whose total has no table is yielded alone, then extended.  The rows
+    pair each step of the family with every tuple of labels in 1 .. q-1,
+    so every path is a tuple of valid entries.
     """
     if n < 1:
         return
@@ -349,6 +359,8 @@ def _walk_paths(family: str, n: int, q: int):
     rows = {step: [(step, labels) for labels in product(range(1, q), repeat=step[1])]
             for step in STEP_ORDER
             if step in PATH_FAMILIES[family] and step[0] + step[1] <= top}
+    words = {entry: " " + _token(entry) for row in rows.values() for entry in row}
+    pieces = words if text else {entry: (entry,) for entry in words}
 
     def options(total: int, first: bool) -> list:
         out = []
@@ -359,7 +371,7 @@ def _walk_paths(family: str, n: int, q: int):
                 continue
             after = total + step[0] + step[1]
             if after <= top:
-                out.extend((entry, after) for entry in row)
+                out.extend((entry, after, pieces[entry]) for entry in row)
         return out
 
     later = [options(total, total == 0) for total in range(top + 1)]
@@ -368,34 +380,34 @@ def _walk_paths(family: str, n: int, q: int):
     # so a total under the cap finds the tables it is built from
     sizes, tables = [0] * (top + 1), [None] * (top + 1)
     for total in range(top, 0, -1):
-        sizes[total] = hit[total] + sum(sizes[after] for _, after in later[total])
+        sizes[total] = hit[total] + sum(sizes[after] for _, after, _ in later[total])
         if sizes[total] <= _TABLE_CAP:
             tails, texts = ([()], [""]) if hit[total] else ([], [])
-            for entry, after in later[total]:
+            for entry, after, _ in later[total]:
                 after_tails, after_texts = tables[after]
                 tails.extend(map((entry,).__add__, after_tails))
-                texts.extend(map((" " + _token(entry)).__add__, after_texts))
+                texts.extend(map(words[entry].__add__, after_texts))
             tables[total] = (tails, texts)
 
     alone = ([()], [""])
+    prefixes, stack = ["" if text else ()], [iter(later[0])]
     if hit[0]:
-        yield (), alone  # the empty path, for families that allow n = 1
-    acc, stack = [], [iter(later[0])]
+        yield prefixes[0], alone  # the empty path, for families that allow n = 1
     while stack:
-        for entry, total in stack[-1]:
-            acc.append(entry)
+        below = prefixes[-1]
+        for _, total, piece in stack[-1]:
+            prefix = below + piece
             if tables[total] is not None:
-                yield tuple(acc), tables[total]
-                acc.pop()
+                yield prefix, tables[total]
                 continue
             if hit[total]:
-                yield tuple(acc), alone
+                yield prefix, alone
+            prefixes.append(prefix)
             stack.append(iter(later[total]))
             break
         else:
             stack.pop()
-            if acc:
-                acc.pop()
+            prefixes.pop()
 
 
 def enumerate_partitions(n: int, q: int, filter: str = "all",
@@ -408,6 +420,25 @@ def enumerate_partitions(n: int, q: int, filter: str = "all",
     filter, n, the field and the expected stream size against the size
     guard are checked when this is called, before the first partition.
     """
+    return (_unchecked_partition(n, q, tuple((i, j, t) for (i, j), t in zip(arcs, labels)))
+            for arcs in _walk_partitions(n, q, filter, limit)
+            for labels in product(range(1, q), repeat=len(arcs)))
+
+
+def enumerate_partition_texts(n: int, q: int, filter: str = "all",
+                              limit: int | None = None):
+    """partition_to_text of every partition of enumerate_partitions, in its
+    order and with its checks at the call, without building the partitions."""
+    arc_sets = _walk_partitions(n, q, filter, limit)
+    labels = list(map(str, range(1, q)))
+    return chain.from_iterable(starmap(_arcs_template(arcs).format,
+                                       product(labels, repeat=len(arcs)))
+                               for arcs in arc_sets)
+
+
+def _walk_partitions(n: int, q: int, filter: str, limit: int | None):
+    """The checks of enumerate_partitions, then the arc sets of its stream,
+    each a sorted tuple of pairs (i, j), once and in its order."""
     if filter not in PARTITION_FILTERS:
         raise UnknownFamily(f"unknown partition filter {filter!r}")
     if n < 0:
@@ -415,11 +446,6 @@ def enumerate_partitions(n: int, q: int, filter: str = "all",
     field_make(q)
     guard_space(partition_floor_space(n, q), limit)
     guard_space(partition_space(n, q), limit)
-    return _walk_partitions(n, q, filter)
-
-
-def _walk_partitions(n: int, q: int, filter: str):
-    """The stream of enumerate_partitions, once its checks have passed."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     # the filter's predicate reads the arcs only, so candidates carry label 1
     keep = {"noncrossing": is_noncrossing, "feasible": is_feasible,
@@ -427,10 +453,8 @@ def _walk_partitions(n: int, q: int, filter: str):
 
     def rec(start, chosen, used_src, used_tgt):
         if keep is None or keep(
-                LabeledSetPartition(n, q, tuple((i, j, 1) for i, j in chosen))):
-            for labels in product(range(1, q), repeat=len(chosen)):
-                yield LabeledSetPartition(
-                    n, q, tuple((i, j, t) for (i, j), t in zip(chosen, labels)))
+                _unchecked_partition(n, q, tuple((i, j, 1) for i, j in chosen))):
+            yield tuple(chosen)
         for a in range(start, len(pairs)):
             i, j = pairs[a]
             if i in used_src or j in used_tgt:
@@ -439,7 +463,7 @@ def _walk_partitions(n: int, q: int, filter: str):
             yield from rec(a + 1, chosen, used_src | {i}, used_tgt | {j})
             chosen.pop()
 
-    yield from rec(0, [], frozenset(), frozenset())
+    return rec(0, [], frozenset(), frozenset())
 
 
 # -------------------------------------------------------------- serialization
@@ -469,9 +493,12 @@ def path_from_text(text: str, q: int) -> LabeledLatticePath:
 
 def partition_to_text(part: LabeledSetPartition) -> str:
     """Text form like "arc 1-3:1 arc 2-4:2"; no arcs gives "(no arcs)"."""
-    if not part.arcs:
-        return "(no arcs)"
-    return " ".join(f"arc {i}-{j}:{t}" for i, j, t in part.arcs)
+    return _arcs_template(part.arc_pairs()).format(*(t for _, _, t in part.arcs))
+
+
+def _arcs_template(pairs) -> str:
+    """The text of a partition with arcs at pairs, "{}" in each label's place."""
+    return " ".join(f"arc {i}-{j}:{{}}" for i, j in pairs) or "(no arcs)"
 
 
 def partition_from_text(text: str, n: int, q: int) -> LabeledSetPartition:

@@ -278,6 +278,10 @@ def whole_body_enumerate(argv):
     ("inv", "1-6", "3"),
     ("partitions", "1-5", "2,3"),
     ("feasible", "6", "2"),
+    ("noncrossing", "0-6", "3"),
+    ("inv_all", "1-6", "2,3"),    # D12(a,b) items are quoted
+    ("heis", "4", "16"),          # two-digit labels inside UU(a,b)
+    ("pell", "5", "9"),
 ])
 def test_streamed_enumerate_matches_whole_body(family, n, q, fmt, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK", 7)  # many chunks even on small streams

@@ -22,7 +22,13 @@ from heischar.combinat import (
     path_to_text,
     shift,
 )
-from heischar.errors import NotAPartition, SpaceTooLarge, UnknownFamily, space_limit
+from heischar.errors import (
+    NotAPartition,
+    NotPrimePower,
+    SpaceTooLarge,
+    UnknownFamily,
+    space_limit,
+)
 
 STEP_INDEX = {step: k for k, step in enumerate(combinat.STEP_ORDER)}
 
@@ -150,6 +156,61 @@ def test_partition_stream_order_and_count(n, q):
     keys = [part_key(p) for p in stream]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def reference_partitions(n, q, filter):
+    """The recursive walker the arc-set walk replaced, kept as a reference:
+    every partition checked, and every candidate built for the filter."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = {"noncrossing": is_noncrossing, "feasible": is_feasible,
+            "heis_support": has_heis_support}.get(filter)
+
+    def rec(start, chosen, used_src, used_tgt):
+        if keep is None or keep(
+                LabeledSetPartition(n, q, tuple((i, j, 1) for i, j in chosen))):
+            for labels in itertools.product(range(1, q), repeat=len(chosen)):
+                yield LabeledSetPartition(
+                    n, q, tuple((i, j, t) for (i, j), t in zip(chosen, labels)))
+        for a in range(start, len(pairs)):
+            i, j = pairs[a]
+            if i in used_src or j in used_tgt:
+                continue
+            chosen.append((i, j))
+            yield from rec(a + 1, chosen, used_src | {i}, used_tgt | {j})
+            chosen.pop()
+
+    yield from rec(0, [], frozenset(), frozenset())
+
+
+@pytest.mark.parametrize("filter", combinat.PARTITION_FILTERS)
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_partition_walker_matches_recursive_reference(filter, q):
+    for n in range(0, 7):
+        expected = list(reference_partitions(n, q, filter))
+        stream = list(enumerate_partitions(n, q, filter))
+        assert [(p.n, p.q, p.arcs) for p in stream] \
+            == [(p.n, p.q, p.arcs) for p in expected], (n, q)
+        # built unchecked from arcs valid by construction, each partition
+        # equals, and hashes like, the partition rebuilt with its checks
+        checked = [LabeledSetPartition(p.n, p.q, p.arcs) for p in stream]
+        assert {type(p) for p in stream} <= {LabeledSetPartition}
+        assert stream == checked
+        assert list(map(hash, stream)) == list(map(hash, checked))
+        assert list(combinat.enumerate_partition_texts(n, q, filter)) \
+            == list(map(partition_to_text, stream)), (n, q)
+
+
+def test_partition_texts_check_when_called():
+    with pytest.raises(UnknownFamily):
+        combinat.enumerate_partition_texts(4, 2, "nonnesting")
+    with pytest.raises(ValueError, match="n must be"):
+        combinat.enumerate_partition_texts(-1, 2)
+    with pytest.raises(NotPrimePower):
+        combinat.enumerate_partition_texts(4, 6)
+    with pytest.raises(SpaceTooLarge):
+        combinat.enumerate_partition_texts(3, 2, "all", limit=4)
+    assert list(combinat.enumerate_partition_texts(0, 5)) == ["(no arcs)"]
+    assert list(combinat.enumerate_partition_texts(1, 3, "feasible")) == []
 
 
 # --------------------------------------------------------------------- paths
@@ -441,6 +502,34 @@ def test_partition_text_round_trip():
     for q in (2, 3):
         for part in enumerate_partitions(5, q, "all"):
             assert partition_from_text(partition_to_text(part), 5, q) == part
+
+
+def chunks_of(texts, size=1 << 15):
+    texts = iter(texts)
+    while chunk := list(itertools.islice(texts, size)):
+        yield chunk
+
+
+@pytest.mark.parametrize("n,q", [pytest.param(n, q, marks=pytest.mark.slow)
+                                 if (n, q) == (6, 16) else (n, q)
+                                 for n in range(7) for q in (2, 3, 4, 16)])
+def test_texts_hold_only_the_commas_csv_would_quote(n, q):
+    # enumerate's csv lines are formatted without the csv module, quoting an
+    # item only when it holds a comma; that is csv's own rule as long as no
+    # text holds a quote or a line break, a path text holds one comma per
+    # two-label step, UU(a,b) or D12(a,b), and none elsewhere, and a
+    # partition text holds none
+    for family in combinat.PATH_FAMILIES:
+        for chunk in chunks_of(combinat.enumerate_path_texts(family, n, q)):
+            body = "".join(chunk)
+            assert not any(c in body for c in '"\r\n'), (family, n, q)
+            two_labels = "D12(" if family.startswith("inv") else "UU("
+            assert list(map(str.count, chunk, itertools.repeat(","))) \
+                == list(map(str.count, chunk, itertools.repeat(two_labels))), (family, n, q)
+    for filter in combinat.PARTITION_FILTERS:
+        for chunk in chunks_of(combinat.enumerate_partition_texts(n, q, filter)):
+            body = "".join(chunk)
+            assert not any(c in body for c in '",\r\n'), (filter, n, q)
 
 
 # ---------------------------------------------------------------- size guard
