@@ -91,14 +91,21 @@ class SpaceTooLarge(RuntimeError):
 
 
 def space_limit(limit: int | None = None) -> int:
-    """The active size guard: explicit argument, else HEISCHAR_SPACE_LIMIT,
-    else the default of 2^24 items."""
+    """The active size guard: explicit argument, else HEISCHAR_SPACE_LIMIT
+    (an integer >= 0; empty counts as unset), else the default of 2^24
+    items."""
     if limit is not None:
         return limit
     env = os.environ.get("HEISCHAR_SPACE_LIMIT")
-    if env:
-        return int(env)
-    return DEFAULT_SPACE_LIMIT
+    if not env:
+        return DEFAULT_SPACE_LIMIT
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"HEISCHAR_SPACE_LIMIT must be an integer >= 0, got {env!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -532,8 +532,9 @@ class _FunctionalOrbit:
     c_invariant: bool
 
 
-# The closed-form spaces behind the size guards; checks.run_check also
-# guards a whole sweep with them before its first case.
+# The closed-form spaces behind the size guards; each route of a check
+# declares the ones it meets, and checks.run_check guards those of a whole
+# sweep before its first case.
 def census_space(group: str, n: int, q: int) -> Space:
     """The functionals the two-sided census of the group sweeps."""
     npos = n * (n - 1) // 2

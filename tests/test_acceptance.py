@@ -198,7 +198,7 @@ def test_criterion_8_alternating_subgroup():
 
 
 # every check at prime powers, where the F_p-basis of F_q has more than
-# one element (DEFAULT_SWEEPS covers only q = 2 and 3)
+# one element (the default sweeps cover only q = 2 and 3)
 PRIME_POWER_POINTS = (
     ("bell-thm", 4, 5), ("heis-thm", 4, 7), ("del-thm", 4, 4), ("deg-cor", 4, 4),
     ("fe-thm", 4, 4), ("c-irr-thm", 4, 4), ("c-heis-thm", 5, 4), ("tech-lem1", 2, 4),

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -9,6 +11,7 @@ import resource
 import subprocess
 import sys
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from heischar import checks, cli, combinat, counting, oracle
 from heischar.checks import CheckCase
 from heischar.cli import parse_int_list, run
-from heischar.errors import DEFAULT_SPACE_LIMIT, SpaceTooLarge, exact_ints
+from heischar.errors import DEFAULT_SPACE_LIMIT, SpaceTooLarge, exact_ints, guard_space
 
 
 def invoke(capsys, *args):
@@ -427,6 +430,30 @@ def test_size_guard_hint_names_only_what_applies(capsys, monkeypatch):
         assert "limit argument" not in err
 
 
+@pytest.mark.parametrize("value", ["-1", "abc", "1e3"])
+def test_bad_space_limit_variable_exits_2_naming_it(value, capsys, monkeypatch):
+    monkeypatch.setenv("HEISCHAR_SPACE_LIMIT", value)
+    message = f"error: HEISCHAR_SPACE_LIMIT must be an integer >= 0, got {value!r}\n"
+    for argv in (("count", "--family", "heis", "--n", "5", "--q", "2"),
+                 ("enumerate", "--family", "heis", "--n", "3", "--q", "2", "--limit", "5"),
+                 ("verify", "tech-lem1", "--n", "1", "--q", "2", "--limit", "100")):
+        assert invoke(capsys, *argv) == (2, "", message), argv
+    monkeypatch.setenv("HEISCHAR_SPACE_LIMIT", "")  # empty counts as unset
+    assert invoke(capsys, "count", "--family", "heis", "--n", "5", "--q", "2") == (0, "38\n", "")
+
+
+def test_run_check_defaults_only_for_none(monkeypatch):
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    default = checks.run_check("tech-lem1")
+    assert default == checks.run_check("tech-lem1", None, None)
+    assert {(c.n, c.q) for c in default} == {(1, 2), (1, 3), (2, 2), (2, 3)}
+    # a sweep given as iterators is read once, not exhausted by the checks
+    assert checks.run_check("tech-lem1", iter([1, 2]), (q for q in (2, 3))) == default
+    for ns, qs in (([], None), (None, []), ((), (2,))):
+        with pytest.raises(ValueError, match="at least one index and one field order"):
+            checks.run_check("tech-lem1", ns, qs)
+
+
 def test_verify_pass(capsys):
     code, out, _ = invoke(capsys, "verify", "tech-lem1", "--n", "1", "--q", "2")
     assert code == 0
@@ -463,10 +490,11 @@ def test_all_checks_are_exposed(capsys):
 @pytest.mark.parametrize("name", sorted(checks.CHECKS))
 def test_verify_outside_domain_exits_2_before_running(name, capsys, monkeypatch):
     def must_not_run(n, q, limit):
-        raise AssertionError(f"{name} ran at n={n}, q={q}")
+        raise AssertionError(f"{name} built its routes at n={n}, q={q}")
 
-    monkeypatch.setitem(checks.CHECKS, name, must_not_run)
-    below = str(checks.MIN_INDEX[name] - 1)
+    check = checks.CHECKS[name]
+    monkeypatch.setitem(checks.CHECKS, name, dataclasses.replace(check, routes=must_not_run))
+    below = str(check.least - 1)
     for sweep in ("0", below, f"3,{below}"):
         code, out, err = invoke(capsys, "verify", name, "--n", sweep, "--q", "2")
         assert (code, out) == (2, ""), sweep
@@ -479,9 +507,69 @@ def test_verify_outside_domain_exits_2_before_running(name, capsys, monkeypatch)
 
 @pytest.mark.parametrize("name", sorted(checks.CHECKS))
 def test_verify_passes_at_domain_edge(name, capsys):
-    code, out, _ = invoke(capsys, "verify", name, "--n", str(checks.MIN_INDEX[name]),
+    code, out, _ = invoke(capsys, "verify", name, "--n", str(checks.CHECKS[name].least),
                           "--q", "2,3")
     assert code == 0, out
+
+
+# sha256 of `verify <check>` over its default sweep, in text, json and csv
+VERIFY_DIGESTS = {
+    "alt-thm": (
+        "c485e45c1a7b3adb4455ea46898ba755c0976608dee274012668e8a52a70134b",
+        "94442015cbc5787ba9eceebc0b56750a5b434a0b1304077dedfa545a664e79f9",
+        "d6e00a7720f0010d142dd61de671a4ef93802f774bd748b16d26692d97c5d477",
+    ),
+    "bell-thm": (
+        "eb2761c4cea29abd0871fd9bddb6279bb27240d1230ba5cfeb253b542011efc3",
+        "8b61edc64ffe15fc718fff8c4c78a64593a1fc1a7518dd18ba6613c848a2c2e6",
+        "f2b8e495eb31e9395645c9963a39678f044fb88cf41cfd64f886499bd0792717",
+    ),
+    "c-heis-thm": (
+        "ed4f013725514cc05185806cce2954e49e0fa443bcdf12c13b83c1c62182447d",
+        "b74a3dfd9a5e8f10883db6375927123721e67ea780986a00a4e3886dfee5dfc6",
+        "d000f8986cf9454b838876ca161234c6b5bf8e7389a1d8b55ee47aeb5c78dd07",
+    ),
+    "c-irr-thm": (
+        "a1b835574d5ddf4e0c9ffab4a14a8d4b9745239cb017ca035bae2c6aaeab0c8f",
+        "2c9d54be1489ea631422a528b1d4bb7ea9e2772cd78a72292475b82caa77b7a8",
+        "990c27882d3bcdc21c793e2a77d0e23efcf0e64c56e1a02916f3a60f390ef197",
+    ),
+    "deg-cor": (
+        "4263a8bfa9c007ff6190040e3c032665adacbfd9e51e8877b5da37805bcf0061",
+        "0869a12b78a1db20db9d27b294e86cd83d797081c0010f71766350d067df617a",
+        "d37e690f75d372e755f20f712443e1d9c11240a92527283ab71c0445d534ae24",
+    ),
+    "del-thm": (
+        "1c701b5dcc6aec28a7746790a7813fa7d61a07808dceebfdc6531e0eb796ad59",
+        "4e5ecdee80a76f5926f3803590995c10f880beff11db98617ddd7c3352a39ce0",
+        "6864dfe8adce31cfe392b02eedc7587019f45b6fe75c0db3283b2627b9427a0e",
+    ),
+    "fe-thm": (
+        "bb97cd7d0b7738cfeb203efbae72a2df3d14f2490dd6a9fb07e1d02cf2043dd0",
+        "a34962bce07eb8cab732ca2741a93e752faa7d90e54af7d88323a42165bbafc9",
+        "013fe88eb1e9669dd291ad9de0465803463ccf756d2539a53ace0bb106505ef3",
+    ),
+    "heis-thm": (
+        "8343525f2d1b298605c1fe14558adde775f44dac404f8094ce76cfb291220285",
+        "c8447bc88c690d70249eaa5c3df011d4c2bb589255412eb082abe04007003a9a",
+        "ec4144cd66060be49507be89d5c452fc155033e779acc1aa6fee3d9f0bf6ead9",
+    ),
+    "tech-lem1": (
+        "b4df19974b63b790da8a5833f94f8350a1c8a8c7828d4953f37fcfa4cd22d0e4",
+        "f868c9b1f387a39cded1bb337885b2957a261acb056102230b25eb46c073e23a",
+        "20f88e396719b55d52f9e8e71f57948bf7115e99af135078599afd13a73cc0a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+def test_verify_default_sweep_bytes_are_pinned(name, capsys, monkeypatch):
+    monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
+    assert sorted(VERIFY_DIGESTS) == sorted(checks.CHECKS)
+    for fmt, digest in zip(("text", "json", "csv"), VERIFY_DIGESTS[name]):
+        code, out, _ = invoke(capsys, "verify", name, "--format", fmt)
+        assert code == 0, fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def verified_pairs(capsys, name, n, q):
@@ -793,22 +881,44 @@ def test_tech_lem1_sweep_guards_every_d_before_the_first(capsys, monkeypatch):
                    "(needs 4096); set HEISCHAR_SPACE_LIMIT or raise the limit argument\n")
 
 
+def first_space_error(thunks):
+    """The message of the SpaceTooLarge that the thunks raise, called in
+    order, or None when none does."""
+    try:
+        for thunk in thunks:
+            thunk()
+    except SpaceTooLarge as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("above,q", [(1, 2), (2, 3)])
 @pytest.mark.parametrize("name", sorted(checks.CHECKS))
 def test_sweep_guard_trips_where_the_cases_would(name, above, q, monkeypatch):
-    # at every limit just below one of a case's spaces, the sweep's guard
-    # raises the very error the case itself would raise first; with room
-    # for the largest, the case meets no closed-form guard it did not name
+    # at every limit just below a space that a route declares, the route's
+    # thunks run alone raise the very error that guarding its declared
+    # spaces in order raises, and run_check raises the error of the first
+    # route that fails; with room for its largest space each route passes
     monkeypatch.delenv("HEISCHAR_SPACE_LIMIT", raising=False)
-    n = checks.MIN_INDEX[name] + above
-    sizes = {space(*args).size for space, *args in checks.CHECK_SPACES[name](n, q)}
-    for limit in sorted({0} | {size - 1 for size in sizes if size}):
+    check = checks.CHECKS[name]
+    n = check.least + above
+    limits = {0}
+    for i, (quantity, _, _, spaces) in enumerate(check.routes(n, q, None)):
+        sizes = [space(*args).size for space, *args in spaces]
+        for limit in sorted({0} | {size - 1 for size in sizes}):
+            _, expected, computed, _ = check.routes(n, q, limit)[i]
+            declared = first_space_error(partial(guard_space, space(*args), limit)
+                                         for space, *args in spaces)
+            assert first_space_error((expected, computed)) == declared, (quantity, limit)
+            limits.add(limit)
+        _, expected, computed, _ = check.routes(n, q, max(sizes, default=0))[i]
+        assert expected() == computed(), quantity
+    for limit in sorted(limits):
         with pytest.raises(SpaceTooLarge) as swept:
             checks.run_check(name, [n], [q], limit)
-        with pytest.raises(SpaceTooLarge) as case:
-            checks.CHECKS[name](n, q, limit)
-        assert str(swept.value) == str(case.value)
-    assert all(c.passed for c in checks.CHECKS[name](n, q, max(sizes)))
+        routes = check.routes(n, q, limit)
+        assert str(swept.value) == first_space_error(
+            thunk for _, expected, computed, _ in routes for thunk in (expected, computed))
 
 
 def test_sweep_guard_sizes_later_spaces_only_when_earlier_fit(monkeypatch):

@@ -455,8 +455,8 @@ def test_tech_lem1_rank_route_matches_bfs_per_tuple(d, q):
     assert count == tech_lem1_bruteforce(d, q)
 
 
-DEFAULT_POINTS = sorted({(n, q) for name, (ns, qs) in checks.DEFAULT_SWEEPS.items()
-                         if name != "tech-lem1" for n in ns for q in qs})
+DEFAULT_POINTS = sorted({(n, q) for name, check in checks.CHECKS.items()
+                         if name != "tech-lem1" for n in check.sweep[0] for q in check.sweep[1]})
 
 
 @pytest.mark.parametrize("n,q", DEFAULT_POINTS)

@@ -252,7 +252,7 @@ def test_full_census_flags_match_orbits(n, q):
         assert_orbit_flags(o, two_sided, left, right, lam, c_invariant)
 
 
-@pytest.mark.parametrize("n,q", list(itertools.product(*checks.DEFAULT_SWEEPS["alt-thm"])))
+@pytest.mark.parametrize("n,q", list(itertools.product(*checks.CHECKS["alt-thm"].sweep)))
 def test_alternating_census_flags_match_orbits(n, q):
     field = gf.field_make(q)
     census = oracle._two_sided_census("alternating", n, q)
