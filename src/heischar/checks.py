@@ -212,6 +212,17 @@ def _alt_thm(n: int, q: int, limit):
                    _side(lambda: (c := c_inv()) + (full() - c) // q, *c_spaces, *full_spaces))]
 
 
+def _poly_forms(n: int, q: int, limit):
+    """poly against closed_form and, where there is one, the series
+    recurrence, each evaluated at x = q - 1."""
+    return ([_route(f"{family} closed form", _poly(family, n, q),
+                    _side(lambda family=family: counting.closed_form(family, n)(q - 1)))
+             for family in counting.CLOSED_FORM_FAMILIES]
+            + [_route(f"{family} series", _poly(family, n, q),
+                      _side(lambda family=family: counting.series_coeffs(family, q - 1, n + 1)[n]))
+               for family in counting.SERIES_FAMILIES])
+
+
 # the default sweeps keep each check at desk scale (seconds, not minutes)
 CHECKS = {
     "bell-thm": Check(_bell_thm, ((3, 4), (2, 3)), 1),
@@ -223,6 +234,7 @@ CHECKS = {
     "c-heis-thm": Check(_c_heis_thm, ((4, 5), (2, 3)), 2),
     "tech-lem1": Check(_tech_lem1, ((1, 2), (2, 3)), 1),
     "alt-thm": Check(_alt_thm, ((3, 4), (2, 3)), 2),
+    "poly-forms": Check(_poly_forms, ((1, 2, 3, 5, 8, 13, 21, 34), (2, 3)), 1),
 }
 
 

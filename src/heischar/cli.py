@@ -88,7 +88,10 @@ def parse_int_list(text: str) -> list[int]:
 
 def _nonnegative(text: str) -> int:
     """argparse type for --count and --limit: an integer >= 0."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
     return value
@@ -281,76 +284,74 @@ def _cmd_sequences(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format (default text)")
-    common.add_argument("--output", metavar="PATH",
-                        help="write output to PATH instead of stdout")
-
-    sized = argparse.ArgumentParser(add_help=False)
-    sized.add_argument("--limit", type=_nonnegative, default=None, metavar="N",
-                       help="override the state-space size guard")
-
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser.  Given a command, only that subcommand's parser is built,
+    and it helps, fails and parses as the whole parser does; an unknown
+    command gets the whole parser, whose error names every command."""
     ap = argparse.ArgumentParser(
         prog="heischar",
         description="Counting, enumeration and verification for characters "
                     "of unitriangular groups and their quotients.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("count", parents=[common],
-                       help="family size at (n, q) from the counting polynomial")
-    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--n", required=True, help="index or comma/dash list")
-    p.add_argument("--q", required=True, help="field order or comma/dash list")
-    p.set_defaults(handler=_cmd_count)
+    def add(name: str, help_text: str, handler, sized: bool = False):
+        # the subcommand's parser with its output options, when it is built
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json", "csv"),
+                       default="text", help="output format (default text)")
+        p.add_argument("--output", metavar="PATH",
+                       help="write output to PATH instead of stdout")
+        if sized:
+            p.add_argument("--limit", type=_nonnegative, default=None, metavar="N",
+                           help="override the state-space size guard")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("poly", parents=[common],
-                       help="coefficients of a counting polynomial in x = q-1")
-    p.add_argument("--family", required=True, choices=list(counting.FAMILIES))
-    p.add_argument("--n", required=True, help="index or comma/dash list")
-    p.add_argument("--x", type=int, default=None,
-                   help="evaluate at integer x instead of printing coefficients")
-    p.set_defaults(handler=_cmd_poly)
+    if p := add("count", "family size at (n, q) from the counting polynomial", _cmd_count):
+        p.add_argument("--family", required=True, choices=sorted(FAMILIES))
+        p.add_argument("--n", required=True, help="index or comma/dash list")
+        p.add_argument("--q", required=True, help="field order or comma/dash list")
 
-    p = sub.add_parser("enumerate", parents=[common, sized],
-                       help="stream family members, one per line")
-    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--n", required=True, help="index or comma/dash list")
-    p.add_argument("--q", required=True, help="field order or comma/dash list")
-    p.set_defaults(handler=_cmd_enumerate)
+    if p := add("poly", "coefficients of a counting polynomial in x = q-1", _cmd_poly):
+        p.add_argument("--family", required=True, choices=list(counting.FAMILIES))
+        p.add_argument("--n", required=True, help="index or comma/dash list")
+        p.add_argument("--x", type=int, default=None,
+                       help="evaluate at integer x instead of printing coefficients")
 
-    p = sub.add_parser("map", parents=[common],
-                       help="convert between functionals, paths and partitions")
-    p.add_argument("op", choices=MAP_OPS)
-    p.add_argument("text", help="input in the textual form of its kind")
-    p.add_argument("--n", type=int, default=None,
-                   help="ambient size, for partition input")
-    p.add_argument("--q", type=int, default=None,
-                   help="field order, for path or partition input")
-    p.set_defaults(handler=_cmd_map)
+    if p := add("enumerate", "stream family members, one per line", _cmd_enumerate, sized=True):
+        p.add_argument("--family", required=True, choices=sorted(FAMILIES))
+        p.add_argument("--n", required=True, help="index or comma/dash list")
+        p.add_argument("--q", required=True, help="field order or comma/dash list")
 
-    p = sub.add_parser("verify", parents=[common, sized],
-                       help="cross-check a named counting statement")
-    p.add_argument("theorem", choices=sorted(checks.CHECKS))
-    p.add_argument("--n", default=None,
-                   help="index sweep (d sweep for tech-lem1); default per check")
-    p.add_argument("--q", default=None, help="field order sweep; default per check")
-    p.set_defaults(handler=_cmd_verify)
+    if p := add("map", "convert between functionals, paths and partitions", _cmd_map):
+        p.add_argument("op", choices=MAP_OPS)
+        p.add_argument("text", help="input in the textual form of its kind")
+        p.add_argument("--n", type=int, default=None,
+                       help="ambient size, for partition input")
+        p.add_argument("--q", type=int, default=None,
+                       help="field order, for path or partition input")
 
-    p = sub.add_parser("sequences", parents=[common],
-                       help="named integer sequences with catalogue tags")
-    p.add_argument("--name", default=None, help="print a single sequence")
-    p.add_argument("--count", type=_nonnegative, default=8, metavar="K",
-                   help="number of terms (default 8)")
-    p.set_defaults(handler=_cmd_sequences)
-    return ap
+    if p := add("verify", "cross-check a named counting statement", _cmd_verify, sized=True):
+        p.add_argument("theorem", choices=sorted(checks.CHECKS))
+        p.add_argument("--n", default=None,
+                       help="index sweep (d sweep for tech-lem1); default per check")
+        p.add_argument("--q", default=None, help="field order sweep; default per check")
+
+    if p := add("sequences", "named integer sequences with catalogue tags", _cmd_sequences):
+        p.add_argument("--name", default=None, help="print a single sequence")
+        p.add_argument("--count", type=_nonnegative, default=8, metavar="K",
+                       help="number of terms (default 8)")
+    return ap if command is None or sub.choices else _build_parser()
 
 
 def run(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and not argv[0].startswith("-") else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -22,8 +22,9 @@ alt_he             Heisenberg characters of ker(sigma)
 
 Each family can be produced by up to three independent routes: ``poly``
 (defining sums over a lattice-point DP), ``closed_form`` (binomial-sum
-expressions) and ``series_coeffs`` (generating-function recurrences at a
-fixed integer x); tests require the routes to agree.
+expressions, nested in (1+x) so that each factor of it is one shift-and-add)
+and ``series_coeffs`` (generating-function recurrences at a fixed integer
+x); tests and ``verify poly-forms`` require the routes to agree.
 
 The numbers behind ``poly`` come from tables built bottom-up (Delannoy
 anti-diagonals, Stirling rows) that keep only their last few rows, so no
@@ -36,6 +37,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
+from operator import add, mul
 
 from .errors import NonIntegralDivision, Space, UnknownFamily, guard_space
 
@@ -220,14 +222,14 @@ def delannoy(kind: str, a: int, b: int) -> int:
 def _stirling_row(n: int, rows) -> list[int]:
     """S(n, k) = k S(n-1, k) + S(n-1, k-1) for k = 0..n."""
     prev = rows[-1]
-    return [k * a + b for k, (a, b) in enumerate(zip(prev + [0], [0] + prev))]
+    return list(map(add, map(mul, range(n + 1), prev + [0]), [0] + prev))
 
 
 def _assoc_stirling_row(n: int, rows) -> list[int]:
     """A(n, k) = k A(n-1, k) + (n-1) A(n-2, k-1) for k = 0..n."""
     prev, prev2 = rows[-1], rows[-2] if n >= 2 else []
-    return [k * a + (n - 1) * b
-            for k, (a, b) in enumerate(zip(prev + [0], [0] + prev2 + [0]))]
+    return list(map(add, map(mul, range(n + 1), prev + [0]),
+                    map((n - 1).__mul__, [0] + prev2 + [0])))
 
 
 _STIRLING = _ForwardTable(_stirling_row, keep=1)
@@ -242,13 +244,6 @@ def stirling2(n: int, k: int) -> int:
 def assoc_stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k blocks all of size >= 2."""
     return _ASSOC_STIRLING.row(n)[k] if 0 <= k <= n else 0
-
-
-def narayana(n: int, k: int) -> int:
-    """Narayana numbers N(n, k) = C(n,k) C(n,k-1) / n for n > 0."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    return binom(n, k) * binom(n, k - 1) // n
 
 
 def catalan(n: int) -> int:
@@ -288,7 +283,12 @@ def poly(family: str, n: int) -> IntPolynomial:
     if family == "bell":
         return IntPolynomial.from_list(_STIRLING.row(n)[::-1])
     if family == "cat":
-        return IntPolynomial.from_list([narayana(n, n - k) for k in range(n + 1)])
+        # coefficient k is N(n, n-k) = N(n, k+1), the Narayana number
+        # C(n,k+1) C(n,k) / n, and N(n, k+1) = N(n, k)(n-k)(n-k+1) / (k(k+1))
+        row = [1] if n >= 0 else []
+        for k in range(1, n):
+            row.append(row[-1] * (n - k) * (n - k + 1) // (k * (k + 1)))
+        return IntPolynomial.from_list(row)
     if family == "fe":
         return IntPolynomial.from_list(_ASSOC_STIRLING.row(n)[::-1])
     if family == "alt_bell":
@@ -317,8 +317,7 @@ def _alt_from_sign(base: str, n: int) -> IntPolynomial:
     """(P_n(x) - (-x)^floor((n-1)/2) P_n(-1)) / (x + 1) for P = cat or del."""
     p = poly(base, n)
     m = (n - 1) // 2
-    sign_term = IntPolynomial.x_power(m, (-1) ** m * p(-1)) if p(-1) else IntPolynomial.zero()
-    return (p - sign_term).divexact_x_plus_1()
+    return (p - IntPolynomial.x_power(m, (-1) ** m * p(-1))).divexact_x_plus_1()
 
 
 # --------------------------------------------------------------- closed forms
@@ -330,62 +329,67 @@ def closed_form(family: str, n: int) -> IntPolynomial:
     """The family polynomial via its binomial-sum expression.
 
     An independent route from ``poly``; the two must agree wherever both
-    are defined.
+    are defined.  Each sum is sum_j T_j (1+x)^(base + step j), computed by
+    ``_nested`` from its terms T_j.
     """
-    if family == "del":
-        return _sum(IntPolynomial.x_power(k, binom(n - 1 - k, k)) * _one_plus_x_pow(n - 1 - 2 * k)
-                    for k in range((n - 1) // 2 + 1))
-    if family == "pre_he":
-        return _sum(IntPolynomial.x_power(k, binom(n - 1 - k, k)) * _one_plus_x_pow(n - 1 - k)
-                    for k in range((n - 1) // 2 + 1))
+    m = n - 1
+    if family in ("del", "pre_he"):
+        # x^k C(m-k, k) (1+x)^(m-2k) for del, (1+x)^(m-k) for pre_he
+        top = m // 2
+        step = 2 if family == "del" else 1
+        return _nested(((k, [binom(m - k, k)]) for k in range(top + 1)),
+                       m - step * top, step)
     if family == "pre_in":
-        return _sum(IntPolynomial.x_power(n - 1 - 2 * k, binom(n - 1 - 2 * k, k)) * _one_plus_x_pow(k)
-                    for k in range((n - 1) // 3 + 1))
+        # x^(m-2k) C(m-2k, k) (1+x)^k
+        return _nested(((m - 2 * k, [binom(m - 2 * k, k)]) for k in range(m // 3, -1, -1)),
+                       0, 1)
     if family == "he":
         if n == 1:
             return IntPolynomial.const(1)
-        m = n - 1
-        return _sum((IntPolynomial.const(binom(m - k, k))
-                     + IntPolynomial.x_power(1, binom(m - 1 - k, k)))
-                    * IntPolynomial.x_power(k) * _one_plus_x_pow(m - 1 - k)
-                    for k in range(m // 2 + 1))
+        # (C(m-k, k) + C(m-1-k, k) x) x^k (1+x)^(m-1-k)
+        top = m // 2
+        return _nested(((k, [binom(m - k, k), binom(m - 1 - k, k)]) for k in range(top + 1)),
+                       m - 1 - top, 1)
     if family == "inv":
-        m = n - 1
-        return _sum((IntPolynomial.const(binom(m - 2 * k - 2, k))
-                     + IntPolynomial.x_power(1, binom(m - 2 * k - 1, k)))
-                    * IntPolynomial.x_power(m - 2 * k - 1) * _one_plus_x_pow(k)
-                    for k in range((m - 1) // 3 + 1))
+        # (C(m-2k-2, k) + C(m-2k-1, k) x) x^(m-2k-1) (1+x)^k
+        return _nested(((m - 2 * k - 1, [binom(m - 2 * k - 2, k), binom(m - 2 * k - 1, k)])
+                        for k in range((m - 1) // 3, -1, -1)), 0, 1)
     if family == "alt_bell":
         _need(family, n, 1)
-        m = n - 1
-        # k falls so that the fe rows are requested in rising order
-        return _sum(poly("fe", m - k).scale(binom(m, k))
-                    * _one_plus_x_pow(k - 1 if k else 0)
-                    for k in range(m, -1, -1))
-    if family == "alt_cat":
+        # C(m, k) fe_(m-k) (1+x)^(k-1) for k >= 1, plus fe_m; k falls so
+        # that the fe rows are requested in rising order
+        head = _nested(((0, [binom(m, k) * c for c in poly("fe", m - k).coeffs])
+                        for k in range(m, 0, -1)), 0, 1)
+        return head + poly("fe", m)
+    if family in ("alt_cat", "alt_del"):
         _need(family, n, 1)
-        m = n - 1
-        return _sum(IntPolynomial.x_power(k, catalan(k) * binom(m, 2 * k))
-                    * _one_plus_x_pow(m - 1 - 2 * k)
-                    for k in range((m - 1) // 2 + 1))
-    if family == "alt_del":
-        _need(family, n, 1)
-        m = n - 1
-        return _sum(IntPolynomial.x_power(k, binom(m - k, k))
-                    * _one_plus_x_pow(m - 1 - 2 * k)
-                    for k in range((m - 1) // 2 + 1))
+        # x^k c_k (1+x)^(m-1-2k), with c_k = Cat(k) C(m, 2k) or C(m-k, k)
+        top = (m - 1) // 2
+        coeff = ((lambda k: catalan(k) * binom(m, 2 * k)) if family == "alt_cat" else
+                 (lambda k: binom(m - k, k)))
+        return _nested(((k, [coeff(k)]) for k in range(top + 1)), m - 1 - 2 * top, 2)
     raise UnknownFamily(f"no closed form for family {family!r}")
 
 
-def _sum(terms) -> IntPolynomial:
-    out = IntPolynomial.zero()
-    for t in terms:
-        out = out + t
-    return out
+def _nested(terms, base: int, step: int) -> IntPolynomial:
+    """sum_j T_j (1+x)^(base + step j) from the terms T_J, ..., T_1, T_0 in
+    that order, each a pair (a, coeffs) for x^a times the polynomial coeffs,
+    by nesting acc = acc (1+x)^step + T_j; each factor (1+x) is one
+    shift-and-add."""
+    acc = []
+    for a, coeffs in terms:
+        for _ in range(step):
+            acc = list(map(add, acc + [0], [0] + acc))
+        if (short := a + len(coeffs) - len(acc)) > 0:
+            acc += [0] * short
+        acc[a:a + len(coeffs)] = map(add, acc[a:a + len(coeffs)], coeffs)
+    for _ in range(base):
+        acc = list(map(add, acc + [0], [0] + acc))
+    return IntPolynomial.from_list(acc)
 
 
 # ------------------------------------------------------------- series route
-_SERIES_FAMILIES = ("del", "pre_he", "pre_in")
+SERIES_FAMILIES = ("del", "pre_he", "pre_in")
 
 
 def series_coeffs(family: str, x: int, count: int) -> list[int]:
@@ -398,7 +402,7 @@ def series_coeffs(family: str, x: int, count: int) -> list[int]:
 
     with c_0 = 0 and c_1 = 1 in every family.
     """
-    if family not in _SERIES_FAMILIES:
+    if family not in SERIES_FAMILIES:
         raise UnknownFamily(f"no series recurrence for family {family!r}")
     out = [0, 1][:max(count, 0)]
     for n in range(2, count):

@@ -202,7 +202,8 @@ def test_criterion_8_alternating_subgroup():
 PRIME_POWER_POINTS = (
     ("bell-thm", 4, 5), ("heis-thm", 4, 7), ("del-thm", 4, 4), ("deg-cor", 4, 4),
     ("fe-thm", 4, 4), ("c-irr-thm", 4, 4), ("c-heis-thm", 5, 4), ("tech-lem1", 2, 4),
-    ("tech-lem1", 1, 9), ("alt-thm", 4, 4), ("alt-thm", 3, 8),
+    ("tech-lem1", 1, 9), ("alt-thm", 4, 4), ("alt-thm", 3, 8), ("poly-forms", 13, 4),
+    ("poly-forms", 21, 9),
 )
 
 
@@ -210,7 +211,7 @@ def test_every_check_passes_at_prime_powers():
     assert {name for name, _, _ in PRIME_POWER_POINTS} == set(checks.CHECKS)
     for name, n, q in PRIME_POWER_POINTS:
         assert_all_passed(checks.run_check(name, (n,), (q,)))
-    print("PASS: all nine checks at prime-power points with q in {4,5,7,8,9}")
+    print("PASS: all ten checks at prime-power points with q in {4,5,7,8,9}")
 
 
 def test_criterion_9_structural_properties():

@@ -483,7 +483,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_all_checks_are_exposed(capsys):
     assert sorted(checks.CHECKS) == [
         "alt-thm", "bell-thm", "c-heis-thm", "c-irr-thm", "deg-cor",
-        "del-thm", "fe-thm", "heis-thm", "tech-lem1",
+        "del-thm", "fe-thm", "heis-thm", "poly-forms", "tech-lem1",
     ]
 
 
@@ -554,6 +554,11 @@ VERIFY_DIGESTS = {
         "c8447bc88c690d70249eaa5c3df011d4c2bb589255412eb082abe04007003a9a",
         "ec4144cd66060be49507be89d5c452fc155033e779acc1aa6fee3d9f0bf6ead9",
     ),
+    "poly-forms": (
+        "fc4d112f56166e35f4b571e6d5d042ce21d842b6216498bceb30ed91ce9e7325",
+        "ceec00a403d6f9e5b603e68eb4ec6de7a6989823bd8f209e65ef1c84e2415272",
+        "fb22913de997787e0af6ade06d5cace926de4813109bd12fd64d517d1651a25c",
+    ),
     "tech-lem1": (
         "b4df19974b63b790da8a5833f94f8350a1c8a8c7828d4953f37fcfa4cd22d0e4",
         "f868c9b1f387a39cded1bb337885b2957a261acb056102230b25eb46c073e23a",
@@ -570,6 +575,18 @@ def test_verify_default_sweep_bytes_are_pinned(name, capsys, monkeypatch):
         code, out, _ = invoke(capsys, "verify", name, "--format", fmt)
         assert code == 0, fmt
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("route,broken,failures", [
+    ("closed_form", lambda family, n: counting.IntPolynomial.const(-1),
+     len(counting.CLOSED_FORM_FAMILIES)),
+    ("series_coeffs", lambda family, x, count: [-1] * count, len(counting.SERIES_FAMILIES)),
+])
+def test_poly_forms_reads_the_routes_it_names(route, broken, failures, capsys, monkeypatch):
+    monkeypatch.setattr(counting, route, broken)
+    code, out, _ = invoke(capsys, "verify", "poly-forms", "--n", "5", "--q", "2")
+    assert code == 1
+    assert sum(line.startswith("[FAIL]") for line in out.splitlines()) == failures
 
 
 def verified_pairs(capsys, name, n, q):
@@ -682,6 +699,64 @@ def test_negative_count_and_limit_exit_2_at_parse(argv, message, capsys):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sequences", "--count", "abc"),
+    ("enumerate", "--family", "pell", "--n", "4", "--q", "2", "--limit", "abc"),
+    ("verify", "tech-lem1", "--limit", "abc"),
+])
+def test_non_integer_count_and_limit_exit_2_at_parse(argv, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {argv[-2]}: expected an integer >= 0, got 'abc'\n")
+
+
+SUBCOMMANDS = ("count", "poly", "enumerate", "map", "verify", "sequences")
+
+
+def record_builds(monkeypatch) -> list:
+    """The command of every parser that cli builds from now on."""
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: built.append(command) or build(command))
+    return built
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_one_subparser_prints_what_the_full_parser_prints(name, capsys, monkeypatch):
+    # run builds only the named subcommand's parser; its help, usage errors
+    # and parsed arguments are the whole parser's
+    build = cli._build_parser
+    built = record_builds(monkeypatch)
+    for argv in ([name, "--help"], [name, "--format", "xml"]):
+        with pytest.raises(SystemExit) as full:
+            build().parse_args(argv)
+        expected = (full.value.code, *capsys.readouterr())
+        assert invoke(capsys, *argv) == expected, argv
+        assert expected[0] == (0 if "--help" in argv else 2)
+    assert built == [name, name]
+    argv = {"count": ["count", "--family", "heis", "--n", "3", "--q", "2"],
+            "poly": ["poly", "--family", "he", "--n", "3"],
+            "enumerate": ["enumerate", "--family", "pell", "--n", "3", "--q", "2"],
+            "map": ["map", "classify", "2 2 1"],
+            "verify": ["verify", "tech-lem1"],
+            "sequences": ["sequences"]}[name]
+    assert vars(build(name).parse_args(argv)) == vars(build().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nonsense"], ["--format", "json", "count"]])
+def test_argv_without_a_leading_subcommand_gets_the_full_parser(argv, capsys, monkeypatch):
+    built = record_builds(monkeypatch)
+    code, out, err = invoke(capsys, *argv)
+    assert built[-1] is None  # "nonsense" first asks for its own parser
+    if argv == ["-h"]:
+        assert code == 0 and all(f"\n    {name}" in out for name in SUBCOMMANDS)
+    else:
+        assert (code, out) == (2, "") and err.startswith("usage: heischar [-h] COMMAND ...")
+    if argv == ["nonsense"]:
+        choices = ", ".join(map(repr, SUBCOMMANDS))
+        assert f"invalid choice: 'nonsense' (choose from {choices})" in err
 
 
 def test_zero_count_prints_empty_rows(capsys):
@@ -914,11 +989,16 @@ def test_sweep_guard_trips_where_the_cases_would(name, above, q, monkeypatch):
         _, expected, computed, _ = check.routes(n, q, max(sizes, default=0))[i]
         assert expected() == computed(), quantity
     for limit in sorted(limits):
+        routes = check.routes(n, q, limit)
+        first = first_space_error(
+            thunk for _, expected, computed, _ in routes for thunk in (expected, computed))
+        if first is None:  # a check whose routes meet no space runs at any limit
+            assert not any(spaces for *_, spaces in routes)
+            assert all(case.passed for case in checks.run_check(name, [n], [q], limit))
+            continue
         with pytest.raises(SpaceTooLarge) as swept:
             checks.run_check(name, [n], [q], limit)
-        routes = check.routes(n, q, limit)
-        assert str(swept.value) == first_space_error(
-            thunk for _, expected, computed, _ in routes for thunk in (expected, computed))
+        assert str(swept.value) == first
 
 
 def test_sweep_guard_sizes_later_spaces_only_when_earlier_fit(monkeypatch):

@@ -19,7 +19,6 @@ from heischar.counting import (
     degree_count,
     delannoy,
     fibonacci,
-    narayana,
     poly,
     sequence_values,
     series_coeffs,
@@ -107,6 +106,13 @@ def test_binom_extension():
     assert binom(-1, 0) == 0
 
 
+def narayana(n, k):
+    """Narayana numbers N(n, k) = C(n,k) C(n,k-1) / n for n > 0."""
+    if n == 0:
+        return 1 if k == 0 else 0
+    return binom(n, k) * binom(n, k - 1) // n
+
+
 def test_auxiliary_numbers():
     assert counting.stirling2(4, 2) == 7
     assert counting.assoc_stirling2(4, 2) == 3
@@ -120,6 +126,14 @@ def test_auxiliary_numbers():
         assert poly("cat", n)(1) == catalan(n)
     assert [fibonacci(n) for n in range(11)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
     assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+
+
+def test_cat_row_is_narayana():
+    # coefficient k of cat at n is N(n, n-k), built by the ratio recurrence
+    for n in range(151):
+        assert poly("cat", n).coeffs \
+            == IntPolynomial.from_list([narayana(n, n - k) for k in range(n + 1)]).coeffs, n
+    assert poly("cat", -1) == IntPolynomial.zero()
 
 
 def test_delannoy_pinned():
@@ -272,6 +286,76 @@ def test_closed_form_matches_poly(family):
     start = 1 if family.startswith("alt_") else 0
     for n in range(start, 13):
         assert closed_form(family, n) == poly(family, n), (family, n)
+
+
+def _sum(terms):
+    out = IntPolynomial.zero()
+    for t in terms:
+        out = out + t
+    return out
+
+
+def closed_form_by_terms(family, n):
+    """Each closed form as its literal binomial sum: every term multiplied
+    out with a fresh (1+x)^e row, then added."""
+    power = counting._one_plus_x_pow
+    if family == "del":
+        return _sum(IntPolynomial.x_power(k, binom(n - 1 - k, k)) * power(n - 1 - 2 * k)
+                    for k in range((n - 1) // 2 + 1))
+    if family == "pre_he":
+        return _sum(IntPolynomial.x_power(k, binom(n - 1 - k, k)) * power(n - 1 - k)
+                    for k in range((n - 1) // 2 + 1))
+    if family == "pre_in":
+        return _sum(IntPolynomial.x_power(n - 1 - 2 * k, binom(n - 1 - 2 * k, k)) * power(k)
+                    for k in range((n - 1) // 3 + 1))
+    if family == "he":
+        if n == 1:
+            return IntPolynomial.const(1)
+        m = n - 1
+        return _sum((IntPolynomial.const(binom(m - k, k))
+                     + IntPolynomial.x_power(1, binom(m - 1 - k, k)))
+                    * IntPolynomial.x_power(k) * power(m - 1 - k)
+                    for k in range(m // 2 + 1))
+    if family == "inv":
+        m = n - 1
+        return _sum((IntPolynomial.const(binom(m - 2 * k - 2, k))
+                     + IntPolynomial.x_power(1, binom(m - 2 * k - 1, k)))
+                    * IntPolynomial.x_power(m - 2 * k - 1) * power(k)
+                    for k in range((m - 1) // 3 + 1))
+    m = n - 1
+    if family == "alt_bell":
+        return _sum(poly("fe", m - k).scale(binom(m, k)) * power(k - 1 if k else 0)
+                    for k in range(m, -1, -1))
+    if family == "alt_cat":
+        return _sum(IntPolynomial.x_power(k, catalan(k) * binom(m, 2 * k)) * power(m - 1 - 2 * k)
+                    for k in range((m - 1) // 2 + 1))
+    assert family == "alt_del"
+    return _sum(IntPolynomial.x_power(k, binom(m - k, k)) * power(m - 1 - 2 * k)
+                for k in range((m - 1) // 2 + 1))
+
+
+@pytest.mark.parametrize("family", counting.CLOSED_FORM_FAMILIES)
+def test_nested_closed_form_matches_term_sums(family):
+    start = 1 if family.startswith("alt_") else 0
+    for n in range(start, 61):
+        assert closed_form(family, n).coeffs == closed_form_by_terms(family, n).coeffs, n
+
+
+@pytest.mark.parametrize("family", counting.CLOSED_FORM_FAMILIES)
+def test_closed_form_matches_poly_at_large_n(family):
+    for n in (200, 400):
+        assert closed_form(family, n) == poly(family, n), n
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.lists(st.integers(-9, 9), max_size=4)),
+                max_size=5),
+       st.integers(0, 4), st.integers(0, 3))
+def test_nested_sum_is_the_sum_of_its_terms(terms, base, step):
+    # the terms come highest power first: T_j carries (1+x)^(base + step j)
+    expected = _sum(IntPolynomial.x_power(a) * IntPolynomial.from_list(coeffs)
+                    * counting._one_plus_x_pow(base + step * j)
+                    for j, (a, coeffs) in enumerate(reversed(terms)))
+    assert counting._nested(iter(terms), base, step) == expected
 
 
 @pytest.mark.parametrize("family", ("del", "pre_he", "pre_in"))
