@@ -20,7 +20,6 @@ Everything is exact; there is no floating point anywhere.
 from .errors import (
     DimensionMismatch,
     NonIntegralDivision,
-    NotAPartition,
     NotClassX,
     NotInFamily,
     NotPrimePower,
@@ -44,7 +43,6 @@ from .linalg import (
     group_inv,
     group_mul,
     sigma,
-    upper_form,
 )
 from .combinat import (
     LabeledLatticePath,
@@ -106,7 +104,6 @@ __all__ = [
     "LabeledLatticePath",
     "LabeledSetPartition",
     "NonIntegralDivision",
-    "NotAPartition",
     "NotClassX",
     "NotInFamily",
     "NotPrimePower",
@@ -162,6 +159,5 @@ __all__ = [
     "space_limit",
     "tech_lem1_bruteforce",
     "tech_lem_count",
-    "upper_form",
     "xi_stats",
 ]

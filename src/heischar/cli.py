@@ -12,9 +12,9 @@ sequences   the named integer sequences with their catalogue tags
 Output formats are text (default), json and csv; identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 failed
 verification, 2 usage or data errors (an unwritable --output among them),
-3 when a size guard would be exceeded (see HEISCHAR_SPACE_LIMIT), 141 when
-the reader of stdout closes it early (as in ``heischar enumerate ... |
-head``), which ends the output quietly.
+3 when a size guard tripped (see HEISCHAR_SPACE_LIMIT) or memory ran out,
+141 when the reader of stdout closes it early (as in ``heischar enumerate
+... | head``), which ends the output quietly.
 
 ``count`` evaluates polynomials while ``enumerate`` streams the actual
 objects, so piping ``enumerate`` through a line count and comparing with
@@ -372,6 +372,10 @@ def run(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_CLOSED_PIPE
+    except MemoryError:
+        pass  # reported below, once the frames holding the memory are freed
+    print(f"error: heischar {args.command} ran out of memory", file=sys.stderr)
+    return 3
 
 
 def main() -> None:

@@ -28,7 +28,7 @@ from functools import partial
 from itertools import chain, product, starmap
 
 from . import counting
-from .errors import NotAPartition, Space, UnknownFamily, guard_space
+from .errors import Space, UnknownFamily, guard_space
 from .gf import field_make
 from .linalg import Functional
 
@@ -116,18 +116,6 @@ class LabeledSetPartition:
     def arc_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.arcs]
 
-    def blocks(self) -> list[list[int]]:
-        """The blocks of the underlying set partition, sorted by minimum."""
-        nxt = {i: j for i, j, _ in self.arcs}
-        starts = set(range(1, self.n + 1)) - {j for _, j, _ in self.arcs}
-        out = []
-        for s in sorted(starts):
-            block = [s]
-            while block[-1] in nxt:
-                block.append(nxt[block[-1]])
-            out.append(block)
-        return out
-
     def __str__(self):
         return partition_to_text(self)
 
@@ -137,45 +125,6 @@ def _unchecked_partition(n: int, q: int, arcs: tuple) -> LabeledSetPartition:
     part = object.__new__(LabeledSetPartition)
     part.__dict__.update(n=n, q=q, arcs=arcs)
     return part
-
-
-def arcs_of(blocks) -> list[tuple[int, int]]:
-    """The arc set of a set partition given as an iterable of blocks.
-
-    Arcs are the covering pairs (i, j): i < j in the same block with no
-    block element strictly between them.  Raises NotAPartition when the
-    blocks do not partition {1, ..., n} for n = max element.
-    """
-    blocks = [sorted(b) for b in blocks]
-    seen = set()
-    for b in blocks:
-        if not b:
-            raise NotAPartition("empty block")
-        for v in b:
-            if not isinstance(v, int) or v < 1:
-                raise NotAPartition(f"invalid element {v!r}")
-            if v in seen:
-                raise NotAPartition(f"element {v} appears twice")
-            seen.add(v)
-    if seen and seen != set(range(1, max(seen) + 1)):
-        raise NotAPartition("blocks do not cover {1, ..., n}")
-    arcs = []
-    for b in blocks:
-        arcs.extend(zip(b, b[1:]))
-    return sorted(arcs)
-
-
-def from_blocks(n: int, q: int, blocks, labels=None) -> LabeledSetPartition:
-    """Build a labeled partition from blocks; labels (default all 1) are
-    assigned to the sorted arc list in order."""
-    pairs = arcs_of(blocks)
-    if max((0, *(j for _, j in pairs)), default=0) > n:
-        raise NotAPartition(f"block element exceeds n={n}")
-    if labels is None:
-        labels = [1] * len(pairs)
-    if len(labels) != len(pairs):
-        raise ValueError("one label per arc required")
-    return LabeledSetPartition(n, q, tuple((i, j, t) for (i, j), t in zip(pairs, labels)))
 
 
 def is_noncrossing(part: LabeledSetPartition) -> bool:

@@ -139,16 +139,6 @@ class IntPolynomial:
             raise NonIntegralDivision(f"remainder {r[0]} dividing {self.coeffs} by (x+1)")
         return IntPolynomial.from_list(q)
 
-    def in_q(self) -> "IntPolynomial":
-        """Re-expand p(x) with x = q - 1 as a polynomial in q."""
-        out = IntPolynomial.zero()
-        q_minus_1 = IntPolynomial.from_list([-1, 1])
-        power = IntPolynomial.const(1)
-        for c in self.coeffs:
-            out = out + power.scale(c)
-            power = power * q_minus_1
-        return out
-
     def is_palindromic(self) -> bool:
         c = self.coeffs
         return c == tuple(reversed(c))

@@ -44,10 +44,6 @@ class DimensionMismatch(ValueError):
     sizes (or over different fields) are combined."""
 
 
-class NotAPartition(ValueError):
-    """Raised when a block family does not partition {1, ..., n}."""
-
-
 class UnknownFamily(ValueError):
     """Raised for an unrecognized path or partition family name."""
 

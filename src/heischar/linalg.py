@@ -9,7 +9,16 @@ Conventions, fixed throughout the package:
   lambda(Y) = sum_{i<j} X_ij * Y_ij;
 * group actions on functionals: (g.lam)(X) = lam(g^{-1} X) on the left,
   (lam.g)(X) = lam(X g^{-1}) on the right, and the coadjoint action is
-  X |-> lam(g^{-1} X g), i.e. right action by g^{-1} after left by g.
+  X |-> lam(g^{-1} X g), i.e. right action by g^{-1} after left by g;
+* the upper form of lambda is the (n-1) x (n-1) array U[a][b] = X[a][b+1]
+  (rows 1..n-1 and columns 2..n of X); its blocks are cut from the codes.
+
+The definitions ``act``, ``group_mul``, ``sigma``, ``e_star``,
+``ideal_positions``, ``Functional.zero``, ``Functional.evaluate``,
+``Functional.kills`` and ``UnitriangularElement.mul_matrix_left`` /
+``mul_matrix_right`` are reference API: the CLI runs the oracle's compiled
+moves and the block kernels instead, and the tests hold those to these
+entry-by-entry definitions, so they stay here rather than in the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DimensionMismatch
-from .gf import FieldSpec
+from .gf import FieldSpec, field_make
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +84,9 @@ class StrictUpperMatrix:
         idx = _position_index(n)
         codes = [0] * (n * (n - 1) // 2)
         for ij, c in entries.items():
-            codes[idx[ij]] = c % field.q
+            if not 0 <= c < field.q:
+                raise ValueError(f"entry code {c} at {ij} is not a code of F_{field.q}")
+            codes[idx[ij]] = c
         return cls(n, field, tuple(codes))
 
     @classmethod
@@ -100,10 +111,6 @@ class StrictUpperMatrix:
         f = self.field
         return StrictUpperMatrix(self.n, f, tuple(f.neg_code(a) for a in self.codes))
 
-    def scale(self, c: int) -> "StrictUpperMatrix":
-        f = self.field
-        return StrictUpperMatrix(self.n, f, tuple(f.mul_code(c, a) for a in self.codes))
-
     def matmul(self, other: "StrictUpperMatrix") -> "StrictUpperMatrix":
         """Matrix product; the result is again strictly upper triangular."""
         _check_same(self, other)
@@ -116,12 +123,6 @@ class StrictUpperMatrix:
             if acc:
                 out[(i, j)] = acc
         return StrictUpperMatrix.from_dict(self.n, self.field, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.codes)
-
-    def support(self) -> set[tuple[int, int]]:
-        return {ij for ij, c in zip(triangle_positions(self.n), self.codes) if c}
 
 
 @dataclass(frozen=True)
@@ -293,22 +294,6 @@ def row_starts(n: int) -> tuple[int, ...]:
     return tuple(accumulate(range(n - 1, 0, -1), initial=0))
 
 
-def upper_form(lam: Functional) -> tuple[tuple[int, ...], ...]:
-    """The (n-1) x (n-1) upper form of the matrix of lambda.
-
-    Deleting the first column and last row of the matrix X of lambda leaves
-    a square array U with U[a][b] = X[a][b+1] (1-based: rows 1..n-1 and
-    columns 2..n of X).  Returned as a tuple of row tuples of codes; row a
-    is a zeros followed by the stored entries of row a + 1 of X.
-    """
-    m, codes = lam.n - 1, lam.codes
-    rows, start = [], 0
-    for a in range(m):
-        rows.append((0,) * a + codes[start:start + m - a])
-        start += m - a
-    return tuple(rows)
-
-
 def block_bounds(lam: Functional) -> list[tuple[int, int]]:
     """The rows (a, b) = a..b-1 of each block of block_decomposition.
 
@@ -406,13 +391,11 @@ def functional_to_text(lam: Functional) -> str:
 
 
 def functional_from_text(text: str) -> Functional:
-    from .gf import field_make
-    parts = text.replace(",", " ").split()
-    if len(parts) < 2:
-        raise ValueError(f"cannot parse functional from {text!r}")
-    n, q = int(parts[0]), int(parts[1])
-    codes = tuple(int(c) for c in parts[2:])
+    try:
+        n, q, *codes = map(int, text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"cannot parse functional from {text!r}") from None
     field = field_make(q)
     if any(not 0 <= c < q for c in codes):
         raise ValueError("entry code out of range")
-    return Functional.from_codes(n, field, codes)
+    return Functional.from_codes(n, field, tuple(codes))

@@ -78,9 +78,6 @@ class OrbitCensus:
     def __len__(self):
         return len(self.orbits)
 
-    def sizes(self) -> list[int]:
-        return [size for _, size in self.orbits]
-
 
 @dataclass(frozen=True)
 class ChainResult:

@@ -127,6 +127,13 @@ def test_functional_to_path_refuses_u0(capsys):
         2, "", "error: no path maps to a functional on u_0; n must be >= 1\n")
 
 
+@pytest.mark.parametrize("op", ("functional-to-path", "classify"))
+@pytest.mark.parametrize("text", ("3 2 1 1 x", "3", "x 2", ""))
+def test_malformed_functional_is_named(op, text, capsys):
+    assert invoke(capsys, "map", op, text) \
+        == (2, "", f"error: cannot parse functional from {text!r}\n")
+
+
 @pytest.mark.parametrize("text", ("arc 1-2", "arc 1-2:", "arc -2:1", "arc 1-x:1", "arc 1-2:1 arc"))
 def test_malformed_arc_is_named(text, capsys):
     assert invoke(capsys, "map", "partition-to-functional", text, "--n", "3", "--q", "2") \
@@ -872,6 +879,24 @@ def capped_run(*argv, address_space=1 << 30):
     return subprocess.run([sys.executable, "-S", "-m", "heischar", *argv],
                           capture_output=True, text=True, timeout=60,
                           env={**env, "PYTHONPATH": src}, preexec_fn=cap)
+
+
+def test_memory_error_exits_3_naming_the_subcommand(capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_sequences", exhaust)
+    assert invoke(capsys, "sequences", "--count", "5") \
+        == (3, "", "error: heischar sequences ran out of memory\n")
+
+
+@pytest.mark.slow
+def test_running_out_of_memory_exits_3_without_a_traceback():
+    # no guard bounds a sequence's length; its values outgrow a 512 MiB cap
+    proc = capped_run("sequences", "--name", "bell_q2", "--count", "2000",
+                      address_space=512 << 20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: heischar sequences ran out of memory\n"
 
 
 @pytest.mark.parametrize("d,error", [

@@ -8,10 +8,8 @@ from heischar import combinat, counting, gf, linalg
 from heischar.combinat import (
     LabeledLatticePath,
     LabeledSetPartition,
-    arcs_of,
     enumerate_partitions,
     enumerate_paths,
-    from_blocks,
     has_heis_support,
     is_feasible,
     is_noncrossing,
@@ -23,7 +21,6 @@ from heischar.combinat import (
     shift,
 )
 from heischar.errors import (
-    NotAPartition,
     NotPrimePower,
     SpaceTooLarge,
     UnknownFamily,
@@ -42,23 +39,6 @@ def part_key(part):
 
 
 # ------------------------------------------------------------- set partitions
-def test_arcs_of_pinned():
-    assert arcs_of([[1, 3], [2, 4, 6, 7], [5]]) == [(1, 3), (2, 4), (4, 6), (6, 7)]
-    assert arcs_of([[1], [2], [3]]) == []
-    assert arcs_of([]) == []
-
-
-def test_arcs_of_rejects_non_partitions():
-    with pytest.raises(NotAPartition):
-        arcs_of([[1, 2], []])
-    with pytest.raises(NotAPartition):
-        arcs_of([[1, 2], [2, 3]])
-    with pytest.raises(NotAPartition):
-        arcs_of([[1, 2], [4]])
-    with pytest.raises(NotAPartition):
-        arcs_of([[0, 1]])
-
-
 def test_partition_validation():
     LabeledSetPartition(4, 3, ((1, 3, 2), (3, 4, 1)))
     with pytest.raises(ValueError):
@@ -77,20 +57,6 @@ def test_partition_validation():
         LabeledSetPartition(4, 3, ((2, 3, 1), (1, 2, 1)))  # unsorted
     with pytest.raises(ValueError):
         LabeledSetPartition(-2, 3, ())  # negative size
-
-
-def test_blocks_and_from_blocks():
-    part = from_blocks(7, 2, [[1, 3], [2, 4, 6, 7], [5]])
-    assert part.arc_pairs() == [(1, 3), (2, 4), (4, 6), (6, 7)]
-    assert part.blocks() == [[1, 3], [2, 4, 6, 7], [5]]
-    labeled = from_blocks(4, 3, [[1, 2], [3, 4]], labels=[2, 1])
-    assert labeled.arcs == ((1, 2, 2), (3, 4, 1))
-    empty = from_blocks(3, 2, [[1], [2], [3]])
-    assert empty.arcs == () and empty.blocks() == [[1], [2], [3]]
-    with pytest.raises(NotAPartition):
-        from_blocks(3, 2, [[1, 2, 3, 4]])
-    with pytest.raises(ValueError):
-        from_blocks(4, 3, [[1, 2]], labels=[1, 1])
 
 
 def test_predicates():

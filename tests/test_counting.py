@@ -84,14 +84,6 @@ def test_divexact_x_plus_1():
         IntPolynomial.from_list([1, 1, 1]).divexact_x_plus_1()
 
 
-def test_in_q_rewrites_basis():
-    he4 = poly("he", 4)
-    assert he4.in_q().coeffs == (0, -1, 0, 2)  # He_4 = 2q^3 - q
-    for q in (2, 3, 5):
-        assert he4.in_q()(q) == he4(q - 1)
-    assert he4.in_q()(3) == 51
-
-
 def test_is_palindromic():
     assert IntPolynomial.from_list([1, 5, 5, 1]).is_palindromic()
     assert not IntPolynomial.from_list([1, 5, 6, 2]).is_palindromic()

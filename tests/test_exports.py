@@ -1,6 +1,7 @@
-"""Guards against stale names: everything the package exports and every
-function the benchmark tracer wraps must exist, so a refactor that
-deletes one fails here rather than only under a traced benchmark run."""
+"""Guards against stale names: everything the package exports, every
+function the benchmark tracer wraps and every library name the
+benchmark's ops call must exist, so a refactor that deletes one fails
+here rather than only under a benchmark run."""
 
 import ast
 import importlib
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import heischar
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+OPS = PERFBENCH / "ops.py"
 
 
 def tracer_spans():
@@ -36,3 +39,28 @@ def test_traced_names_resolve():
             assert hasattr(obj, part), f"heischar.{module}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"heischar.{module}.{attr}"
+
+
+def ops_library_names():
+    """The (function, module, attribute) triples of every ``m.attr`` that a
+    function of ops.py uses, where it imports m by ``from heischar import m``,
+    read from its source without importing it."""
+    for func in ast.walk(ast.parse(OPS.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        modules = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.ImportFrom) and node.module == "heischar"
+                   for alias in node.names}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                yield func.name, modules[node.value.id], node.attr
+
+
+def test_benchmark_library_names_resolve():
+    names = list(ops_library_names())
+    assert names
+    for func, module, attr in names:
+        assert hasattr(importlib.import_module(f"heischar.{module}"), attr), \
+            f"perfbench/ops.py {func}: heischar.{module}.{attr}"
