@@ -335,54 +335,60 @@ def block_decomposition(lam: Functional) -> list[tuple[tuple[int, ...], ...]]:
 
 
 # ------------------------------------------------- linear algebra over F_q
+def _eliminate(rows, field: FieldSpec, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of code rows: the reduced row echelon form
+    (zero rows dropped) and its pivot columns, in order.
+
+    Every route to an echelon form goes through here.  Arithmetic is by
+    indexing rows of the field's tables: a pivot row is scaled by the row
+    of mul_table of its pivot's inverse, and each row it clears is rebuilt
+    in one comprehension, a - f * p as add[a][mul[-f][p]]."""
+    add, mul, inv, neg = field.add_table, field.mul_table, field.inv_table, field.neg_table
+    rows = [r for r in rows if any(r)]
+    out, pivots = [], []
+    for col in range(ncols):
+        k = next((k for k, r in enumerate(rows) if r[col]), None)
+        if k is None:
+            continue
+        m = mul[inv[rows[k][col]]]
+        p = [m[v] for v in rows.pop(k)]
+        for group in (rows, out):
+            for i, r in enumerate(group):
+                if r[col]:
+                    m = mul[neg[r[col]]]
+                    group[i] = [add[a][m[b]] for a, b in zip(r, p)]
+        out.append(p)
+        pivots.append(col)
+    return out, pivots
+
+
 def row_reduce(rows, field: FieldSpec) -> list[list[int]]:
     """Reduced row echelon form of a list of code rows (zero rows dropped)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out = []
-    pivot_col = 0
-    while rows and pivot_col < ncols:
-        pivot = next((r for r in rows if r[pivot_col]), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows.remove(pivot)
-        c = field.inv_code(pivot[pivot_col])
-        pivot = [field.mul_code(c, v) for v in pivot]
-        for other in [*out, *rows]:
-            f = other[pivot_col]
-            if f:
-                for i in range(ncols):
-                    other[i] = field.sub_code(other[i], field.mul_code(f, pivot[i]))
-        rows = [r for r in rows if any(r)]
-        out.append(pivot)
-        pivot_col += 1
-    return out
+    rows = list(rows)
+    return _eliminate(rows, field, len(rows[0]) if rows else 0)[0]
 
 
 def null_space(rows, field: FieldSpec, ncols: int) -> list[list[int]]:
-    """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
-    red = row_reduce(rows, field)
-    pivots = [next(i for i, v in enumerate(r) if v) for r in red]
+    """Canonical basis of {x : M x = 0} for the matrix with the given rows:
+    one vector per free column f, 1 at f, 0 at the other free columns."""
+    red, pivots = _eliminate(rows, field, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
         vec = [0] * ncols
         vec[fcol] = 1
         for r, p in zip(red, pivots):
-            vec[p] = field.neg_code(r[fcol])
+            vec[p] = field.neg_table[r[fcol]]
         basis.append(vec)
     return basis
 
 
 def solve_consistent(rows, rhs, field: FieldSpec) -> bool:
-    """Whether M x = rhs has any solution over the field."""
+    """Whether M x = rhs has any solution over the field: no pivot of the
+    augmented matrix lies in its last column."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red = row_reduce(aug, field)
     ncols = len(rows[0]) if rows else 0
-    return all(any(r[:ncols]) for r in red)
+    return ncols not in _eliminate(aug, field, ncols + 1)[1]
 
 
 def functional_to_text(lam: Functional) -> str:
@@ -396,6 +402,8 @@ def functional_from_text(text: str) -> Functional:
     except ValueError:
         raise ValueError(f"cannot parse functional from {text!r}") from None
     field = field_make(q)
-    if any(not 0 <= c < q for c in codes):
-        raise ValueError("entry code out of range")
+    bad = next((c for c in codes if not 0 <= c < q), None)
+    if bad is not None:
+        raise ValueError(f"cannot parse functional from {text!r}: "
+                         f"code {bad} is not in 0..{q - 1}")
     return Functional.from_codes(n, field, tuple(codes))

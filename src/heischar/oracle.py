@@ -29,7 +29,10 @@ other.  The quotient by 1 + n^3 has no element type of its own:
 1 + n^3 is normal, so conjugation there is X -> g X g^{-1} in U_n read
 on the first two superdiagonals.  The l/s chains never multiply matrices:
 lam(XY) is a bilinear form in X and Y, kept as the sparse list of its
-nonzero entries.
+nonzero entries.  Their null spaces run on linalg's one elimination
+kernel over table-code rows.  A restriction whose constraint rows are
+all zero returns its basis unchanged, and ``ls_chain`` stops once s^i
+repeats, since l^{i+1} and s^{i+1} depend on s^i alone.
 
 Every census labels its whole space in one sweep (``_sweep``): a state's
 index is its free coordinates read base q, seeds are taken in index
@@ -55,7 +58,7 @@ from itertools import product
 from .errors import Space, SpaceTooLarge, UnknownFamily, guard_space, space_limit
 from .gf import FieldSpec, field_make
 from .linalg import (Functional, StrictUpperMatrix, UnitriangularElement,
-                     _position_index, gamma, group_inv, null_space, row_reduce,
+                     _position_index, gamma, group_inv, null_space,
                      solve_consistent, triangle_positions)
 
 HEISENBERG_METHODS = ("quotient_classes", "xi_census")
@@ -412,38 +415,44 @@ def _pairing_restrict(gram, field: FieldSpec, s_basis, t_basis):
     Y; gram lists its nonzero entries as (pos(i,k), pos(k,j), lam_ij).
     Folding one Y into it gives the vector w_Y with lam(XY) = w_Y . X,
     so each constraint row is a list of dot products, and no matrix
-    product is formed."""
-    if not s_basis:
-        return ()
-    if not t_basis:
-        return s_basis
+    product is formed.
+
+    s_basis is in reduced echelon form (the identity, or an earlier
+    result), so it is the answer when every constraint row is zero.
+    Otherwise X = sum_j c_j x_j reads c at the pivot columns of s_basis,
+    so combining its rows by a reduced echelon basis of the coefficients
+    gives the answer in reduced echelon form.  The canonical null space
+    of the constraints over the rows taken in reverse order is such a
+    basis, read backwards."""
     add, mul = field.add_table, field.mul_table
-    npos = len(s_basis[0])
+    back = s_basis[::-1]
     constraints = []
     for y in t_basis:
-        w = [0] * npos
+        w = {}
         for a, b, c in gram:
             if y[b]:
-                w[a] = add[w[a]][mul[c][y[b]]]
-        support = [(a, mul[v]) for a, v in enumerate(w) if v]
+                w[a] = add[w.get(a, 0)][mul[c][y[b]]]
+        support = [(a, mul[v]) for a, v in w.items() if v]
         if not support:
             continue
         row = []
-        for x in s_basis:
+        for x in back:
             acc = 0
             for a, mv in support:
                 acc = add[acc][mv[x[a]]]
             row.append(acc)
-        constraints.append(row)
+        if any(row):
+            constraints.append(row)
+    if not constraints:
+        return s_basis
     vectors = []
-    for coeffs in null_space(constraints, field, len(s_basis)):
-        vec = [0] * npos
-        for c, x in zip(coeffs, s_basis):
-            if c:
-                mc = mul[c]
-                vec = [add[v][mc[u]] for v, u in zip(vec, x)]
-        vectors.append(vec)
-    return tuple(tuple(r) for r in row_reduce(vectors, field))
+    for coeffs in reversed(null_space(constraints, field, len(back))):
+        # the last nonzero coefficient is the 1 at the vector's free column
+        *terms, (_, vec) = [(mul[c], x) for c, x in zip(coeffs, back) if c]
+        for mc, x in terms:
+            vec = [add[v][mc[u]] for v, u in zip(vec, x)]
+        vectors.append(tuple(vec))
+    return tuple(vectors)
 
 
 def _gram(lam: Functional):
@@ -456,22 +465,24 @@ def _gram(lam: Functional):
 
 
 def ls_chain(lam: Functional) -> ChainResult:
-    """Iterate the l/s recursion until both chains stabilize."""
+    """Iterate the l/s recursion until both chains stabilize: once
+    s^{i+1} = s^i, every later pair repeats l^{i+1}, s^{i+1}."""
     n, field = lam.n, lam.field
     npos = n * (n - 1) // 2
     gram = _gram(lam)
-    full = tuple(tuple(1 if a == b else 0 for b in range(npos))
-                 for a in range(npos))
+    full = tuple((0,) * a + (1,) + (0,) * (npos - 1 - a) for a in range(npos))
     l_chain = [()]
     s_chain = [full]
     while True:
         s_cur = s_chain[-1]
         l_next = _pairing_restrict(gram, field, s_cur, s_cur)
         s_next = _pairing_restrict(gram, field, s_cur, l_next)
-        if l_next == l_chain[-1] and s_next == s_chain[-1]:
+        if l_next == l_chain[-1] and s_next == s_cur:
             break
         l_chain.append(l_next)
         s_chain.append(s_next)
+        if s_next == s_cur:
+            break
     return ChainResult(lam, tuple(l_chain), tuple(s_chain))
 
 

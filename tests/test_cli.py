@@ -134,6 +134,14 @@ def test_malformed_functional_is_named(op, text, capsys):
         == (2, "", f"error: cannot parse functional from {text!r}\n")
 
 
+@pytest.mark.parametrize("op", ("functional-to-path", "classify"))
+@pytest.mark.parametrize("text,code,top", (("3 2 1 1 5", 5, 1), ("2 3 -1", -1, 2),
+                                           ("3 4 0 4 9", 4, 3)))
+def test_out_of_range_code_is_named(op, text, code, top, capsys):
+    assert invoke(capsys, "map", op, text) == (
+        2, "", f"error: cannot parse functional from {text!r}: code {code} is not in 0..{top}\n")
+
+
 @pytest.mark.parametrize("text", ("arc 1-2", "arc 1-2:", "arc -2:1", "arc 1-x:1", "arc 1-2:1 arc"))
 def test_malformed_arc_is_named(text, capsys):
     assert invoke(capsys, "map", "partition-to-functional", text, "--n", "3", "--q", "2") \
@@ -609,6 +617,14 @@ def verified_pairs(capsys, name, n, q):
 def test_verify_fe_thm_at_6_3(capsys):
     fe = counting.poly("fe", 5)(2)
     assert verified_pairs(capsys, "fe-thm", 6, 3) == [(fe, fe)] * 3
+
+
+# the frontier of the xi census: 2,120 coadjoint orbits of u_9(F_2)*
+# killing n^3, each with its l/s chains
+@pytest.mark.slow
+def test_verify_heis_thm_at_9_2(capsys):
+    he = counting.poly("he", 9)(1)
+    assert verified_pairs(capsys, "heis-thm", 9, 2) == [(he, he)] * 3
 
 
 @pytest.mark.slow

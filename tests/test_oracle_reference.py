@@ -3,8 +3,9 @@ references: orbits against closures under ``linalg.act``, compiled
 generator moves against the group actions they encode, conjugacy classes
 against conjugation by every group element, the two-sided census flags
 against orbits recomputed from scratch, l/s chains against the
-matrix-product route, tangent vectors against matrix commutators, and
-the oracle's import closure."""
+matrix-product route, the elimination kernel under them against a
+field-method elimination, tangent vectors against matrix commutators,
+and the oracle's import closure."""
 
 import ast
 import itertools
@@ -264,6 +265,97 @@ def test_alternating_census_flags_match_orbits(n, q):
                            False)
 
 
+# ------------------------------------------------------------ elimination
+def reference_row_reduce(rows, field):
+    """Reduced row echelon form (zero rows dropped), one field method call
+    per entry."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    out = []
+    pivot_col = 0
+    while rows and pivot_col < ncols:
+        pivot = next((r for r in rows if r[pivot_col]), None)
+        if pivot is None:
+            pivot_col += 1
+            continue
+        rows.remove(pivot)
+        c = field.inv_code(pivot[pivot_col])
+        pivot = [field.mul_code(c, v) for v in pivot]
+        for other in [*out, *rows]:
+            f = other[pivot_col]
+            if f:
+                for i in range(ncols):
+                    other[i] = field.sub_code(other[i], field.mul_code(f, pivot[i]))
+        rows = [r for r in rows if any(r)]
+        out.append(pivot)
+        pivot_col += 1
+    return out
+
+
+def reference_null_space(rows, field, ncols):
+    """Canonical basis of {x : M x = 0}: for each free column f, the
+    vector with 1 at f and minus column f of each pivot row at its pivot."""
+    red = reference_row_reduce(rows, field)
+    pivots = [next(i for i, v in enumerate(r) if v) for r in red]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [0] * ncols
+        vec[fcol] = 1
+        for r, p in zip(red, pivots):
+            vec[p] = field.neg_code(r[fcol])
+        basis.append(vec)
+    return basis
+
+
+def reference_solve_consistent(rows, rhs, field):
+    red = reference_row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], field)
+    ncols = len(rows[0]) if rows else 0
+    return all(any(r[:ncols]) for r in red)
+
+
+def random_matrices(field, seed):
+    """Seeded matrices of every shape up to 8 x 8, at random densities,
+    with the edge shapes first: no rows, zero rows, one column, and more
+    rows than columns."""
+    rng, q = random.Random(seed), field.q
+    cases = [[], [[0]], [[0, 0, 0]], [[0] * 4] * 3, [[1]], [[0], [q - 1], [1]],
+             [[1, 0], [0, 1], [1, 1], [q - 1, 1]]]
+    for _ in range(250):
+        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+        density = rng.random()
+        rows = [[rng.randrange(1, q) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.3:
+            # a dependent row: the sum of the first and the last
+            rows.append([field.add_code(a, b) for a, b in zip(rows[0], rows[-1])])
+        cases.append(rows)
+    return cases
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
+def test_elimination_kernel_matches_reference(q):
+    field = gf.field_make(q)
+    rng = random.Random(700 + q)
+    for rows in random_matrices(field, seed=600 + q):
+        ncols = len(rows[0]) if rows else rng.randrange(4)
+        frozen = [tuple(r) for r in rows]
+        assert linalg.row_reduce(rows, field) == reference_row_reduce(rows, field), rows
+        assert linalg.null_space(rows, field, ncols) \
+            == reference_null_space(rows, field, ncols), rows
+        for rhs in ([0] * len(rows), [1] * len(rows), [rng.randrange(q) for _ in rows]):
+            assert linalg.solve_consistent(rows, rhs, field) \
+                == reference_solve_consistent(rows, rhs, field), (rows, rhs)
+        # the inputs are left as they were, and tuples reduce like lists
+        assert [tuple(r) for r in rows] == frozen
+        assert linalg.row_reduce(frozen, field) == reference_row_reduce(rows, field)
+    for ncols in range(4):
+        identity = [[int(a == b) for b in range(ncols)] for a in range(ncols)]
+        assert linalg.null_space([], field, ncols) == identity
+
+
 # ------------------------------------------------------------ l/s chains
 def reference_pairing_restrict(lam, s_basis, t_basis):
     """The matrix-product route: build every X Y with matmul and
@@ -277,12 +369,12 @@ def reference_pairing_restrict(lam, s_basis, t_basis):
                         StrictUpperMatrix(n, field, y))) for x in s_basis]
                    for y in t_basis]
     vectors = []
-    for coeffs in linalg.null_space(constraints, field, len(s_basis)):
+    for coeffs in reference_null_space(constraints, field, len(s_basis)):
         vec = [0] * len(s_basis[0])
         for c, x in zip(coeffs, s_basis):
             vec = [field.add_code(v, field.mul_code(c, u)) for v, u in zip(vec, x)]
         vectors.append(vec)
-    return tuple(tuple(r) for r in linalg.row_reduce(vectors, field))
+    return tuple(tuple(r) for r in reference_row_reduce(vectors, field))
 
 
 def reference_ls_chain(lam):
@@ -300,6 +392,7 @@ def reference_ls_chain(lam):
 
 @pytest.mark.parametrize("n,q,sample", [
     (3, 3, None), (4, 2, None), (5, 3, 12), (4, 4, 12), (5, 5, 12),
+    (6, 2, 12), (4, 8, 12), (4, 9, 12),
 ])
 def test_ls_chain_matches_matrix_product_route(n, q, sample):
     lams = (all_functionals(n, q) if sample is None
