@@ -214,7 +214,7 @@ def heis_degree_histogram(n: int, q: int, limit: int | None = None) -> dict[int,
     size guard run here: each block adds the tail lengths of its suffix
     table, counted once per table, shifted by its prefix length."""
     lengths, per_table = Counter(), {}
-    for prefix, (tails, _) in path_blocks("heis_tilde", n, q, limit):
+    for prefix, tails in path_blocks("heis_tilde", n, q, limit):
         # tables are shared between blocks and live as long as the walk
         counts = per_table.get(id(tails))
         if counts is None:

@@ -247,8 +247,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ns = parse_int_list(args.n) if args.n else None
-    qs = parse_int_list(args.q) if args.q else None
+    ns = parse_int_list(args.n) if args.n is not None else None
+    qs = parse_int_list(args.q) if args.q is not None else None
     cases = checks.run_check(args.theorem, ns, qs, args.limit)
     lines, rows = [], []
     for c in cases:
@@ -265,7 +265,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sequences(args) -> int:
-    names = [args.name] if args.name else sorted(counting.SEQUENCES)
+    names = [args.name] if args.name is not None else sorted(counting.SEQUENCES)
     rows = []
     for name in names:
         if name not in counting.SEQUENCES:

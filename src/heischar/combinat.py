@@ -51,26 +51,16 @@ PARTITION_FILTERS = ("all", "noncrossing", "feasible", "heis_support")
 
 def _check_labels(q: int, labels) -> None:
     for t in labels:
-        if not 1 <= t < q:
+        # a label is an int code: 2.0 and True are refused, not read as 2 and 1
+        if type(t) is not int or not 1 <= t < q:
             raise ValueError(f"label {t} is not a nonzero code of F_{q}")
-
-
-def _label_text(t) -> str:
-    """A label's text: the integer it equals, if any, so that equal paths
-    print the same; labels 2.0 and True print as 2 and 1."""
-    try:
-        if t == int(t):
-            return str(int(t))
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return str(t)
 
 
 def _token(entry) -> str:
     """The text token of one labelled step, like "R" or "UU(2,1)"."""
     step, labels = entry
     name = STEP_NAMES[step]
-    return name if not labels else f"{name}({','.join(map(_label_text, labels))})"
+    return name if not labels else f"{name}({','.join(map(str, labels))})"
 
 
 def _validate_steps(q, steps) -> None:
@@ -245,27 +235,26 @@ def enumerate_paths(family: str, n: int, q: int, limit: int | None = None):
     """
     make = partial(_unchecked_path, q)
     return chain.from_iterable(map(make, map(prefix.__add__, tails))
-                               for prefix, (tails, _) in path_blocks(family, n, q, limit))
+                               for prefix, tails in path_blocks(family, n, q, limit))
 
 
 def enumerate_path_texts(family: str, n: int, q: int, limit: int | None = None):
     """path_to_text of every path of enumerate_paths, in its order and with
     its checks at the call, without building the paths."""
     # only the origin's own block has an empty head: the empty path, "-"
-    return chain.from_iterable(map((head[1:] or "-").__add__, texts)
-                               for head, (_, texts) in path_blocks(family, n, q, limit, text=True))
+    return chain.from_iterable(map((head[1:] or "-").__add__, tails)
+                               for head, tails in path_blocks(family, n, q, limit, text=True))
 
 
 def path_blocks(family: str, n: int, q: int, limit: int | None = None, *,
                 text: bool = False):
-    """The family's paths as blocks (prefix, (tails, texts)), with the
-    checks of enumerate_paths at the call.
+    """The family's paths as blocks (prefix, tails), with the checks of
+    enumerate_paths at the call.
 
     A block stands for the paths prefix + tail, tail in tails, in stream
-    order; texts[i] is the text tails[i] appends to the prefix's text (""
-    or " " followed by its tokens).  With text=True a block's prefix is
-    given as that text instead.  Blocks share their tables, which must
-    not be changed.
+    order.  Prefixes and tails are tuples of entries, or with text=True
+    texts: "" or " " followed by the tokens of their entries.  Blocks
+    share their tables, which must not be changed.
     """
     if family not in PATH_FAMILIES:
         raise UnknownFamily(f"unknown path family {family!r}")
@@ -283,20 +272,21 @@ def _walk_paths(family: str, n: int, q: int, text: bool):
     """The blocks of path_blocks, once its checks have passed.
 
     Each coordinate sum ``total`` has a precomputed list of options
-    (entry, total after the entry, piece); no step returns to the origin,
-    so its list holds the first step's options, which the tilde families
+    (total after the entry, piece); no step returns to the origin, so its
+    list holds the first step's options, which the tilde families
     restrict.  The suffix table of a total lists its completions in
     stream order: the empty tail when the total lies on a target line,
-    then, option by option, the entry followed by each tail of the total
-    after it.  Tables are built from the target line back toward the
-    origin, for every total with at most _TABLE_CAP completions; the
-    prefixes are then walked depth first with an explicit stack, each
-    the prefix below it plus the option's piece: (entry,), or with text
-    its word " " + token.  A prefix reaching a total with a table is
-    yielded with that table as one block.  A prefix on a target line
-    whose total has no table is yielded alone, then extended.  The rows
-    pair each step of the family with every tuple of labels in 1 .. q-1,
-    so every path is a tuple of valid entries.
+    then, option by option, the option's piece followed by each tail of
+    the total after it.  A piece is (entry,), or with text the entry's
+    word " " + token, so one table serves a walk.  Tables are built from
+    the target line back toward the origin, for every total with at most
+    _TABLE_CAP completions; the prefixes are then walked depth first
+    with an explicit stack, each the prefix below it plus the option's
+    piece.  A prefix reaching a total with a table is yielded with that
+    table as one block.  A prefix on a target line whose total has no
+    table is yielded alone, then extended.  The rows pair each step of
+    the family with every tuple of labels in 1 .. q-1, so every path is
+    a tuple of valid entries.
     """
     if n < 1:
         return
@@ -308,8 +298,9 @@ def _walk_paths(family: str, n: int, q: int, text: bool):
     rows = {step: [(step, labels) for labels in product(range(1, q), repeat=step[1])]
             for step in STEP_ORDER
             if step in PATH_FAMILIES[family] and step[0] + step[1] <= top}
-    words = {entry: " " + _token(entry) for row in rows.values() for entry in row}
-    pieces = words if text else {entry: (entry,) for entry in words}
+    pieces = {entry: " " + _token(entry) if text else (entry,)
+              for row in rows.values() for entry in row}
+    empty = "" if text else ()
 
     def options(total: int, first: bool) -> list:
         out = []
@@ -320,7 +311,7 @@ def _walk_paths(family: str, n: int, q: int, text: bool):
                 continue
             after = total + step[0] + step[1]
             if after <= top:
-                out.extend((entry, after, pieces[entry]) for entry in row)
+                out.extend((after, pieces[entry]) for entry in row)
         return out
 
     later = [options(total, total == 0) for total in range(top + 1)]
@@ -329,22 +320,20 @@ def _walk_paths(family: str, n: int, q: int, text: bool):
     # so a total under the cap finds the tables it is built from
     sizes, tables = [0] * (top + 1), [None] * (top + 1)
     for total in range(top, 0, -1):
-        sizes[total] = hit[total] + sum(sizes[after] for _, after, _ in later[total])
+        sizes[total] = hit[total] + sum(sizes[after] for after, _ in later[total])
         if sizes[total] <= _TABLE_CAP:
-            tails, texts = ([()], [""]) if hit[total] else ([], [])
-            for entry, after, _ in later[total]:
-                after_tails, after_texts = tables[after]
-                tails.extend(map((entry,).__add__, after_tails))
-                texts.extend(map(words[entry].__add__, after_texts))
-            tables[total] = (tails, texts)
+            tails = [empty] if hit[total] else []
+            for after, piece in later[total]:
+                tails.extend(map(piece.__add__, tables[after]))
+            tables[total] = tails
 
-    alone = ([()], [""])
-    prefixes, stack = ["" if text else ()], [iter(later[0])]
+    alone = [empty]
+    prefixes, stack = [empty], [iter(later[0])]
     if hit[0]:
         yield prefixes[0], alone  # the empty path, for families that allow n = 1
     while stack:
         below = prefixes[-1]
-        for _, total, piece in stack[-1]:
+        for total, piece in stack[-1]:
             prefix = below + piece
             if tables[total] is not None:
                 yield prefix, tables[total]

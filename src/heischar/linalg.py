@@ -5,8 +5,9 @@ Conventions, fixed throughout the package:
 
 * indices are 1-based; the strict upper triangle of an n x n matrix is
   stored row-major as positions (1,2), (1,3), ..., (1,n), (2,3), ...;
-* a functional lambda is stored via its matrix X, with
-  lambda(Y) = sum_{i<j} X_ij * Y_ij;
+* a functional lambda is its matrix X, with
+  lambda(Y) = sum_{i<j} X_ij * Y_ij: a Functional is a StrictUpperMatrix
+  that compares equal only to Functionals;
 * group actions on functionals: (g.lam)(X) = lam(g^{-1} X) on the left,
   (lam.g)(X) = lam(X g^{-1}) on the right, and the coadjoint action is
   X |-> lam(g^{-1} X g), i.e. right action by g^{-1} after left by g;
@@ -194,29 +195,18 @@ def sigma(g: UnitriangularElement) -> int:
 
 
 @dataclass(frozen=True)
-class Functional:
-    """A linear functional on u_n, stored via its matrix."""
-
-    n: int
-    field: FieldSpec
-    matrix: StrictUpperMatrix
-
-    @classmethod
-    def zero(cls, n: int, field: FieldSpec) -> "Functional":
-        return cls(n, field, StrictUpperMatrix.zero(n, field))
-
-    @classmethod
-    def from_dict(cls, n: int, field: FieldSpec,
-                  entries: dict[tuple[int, int], int]) -> "Functional":
-        return cls(n, field, StrictUpperMatrix.from_dict(n, field, entries))
+class Functional(StrictUpperMatrix):
+    """A linear functional on u_n, which is its matrix X:
+    lambda(Y) = sum_{i<j} X_ij * Y_ij.  It never equals a
+    StrictUpperMatrix with the same codes; ``matrix`` is that view."""
 
     @classmethod
     def from_codes(cls, n: int, field: FieldSpec, codes: tuple[int, ...]) -> "Functional":
-        return cls(n, field, StrictUpperMatrix(n, field, codes))
+        return cls(n, field, codes)
 
     @property
-    def codes(self) -> tuple[int, ...]:
-        return self.matrix.codes
+    def matrix(self) -> StrictUpperMatrix:
+        return StrictUpperMatrix(self.n, self.field, self.codes)
 
     def evaluate(self, x: StrictUpperMatrix) -> int:
         """lambda(x) as a field code."""
@@ -235,8 +225,7 @@ class Functional:
         For an ideal n^k this decides lambda(n^k) = 0, since the e_{ij}
         with (i, j) in ideal_positions(n, k) form a basis of n^k.
         """
-        mat = self.matrix
-        return all(mat[ij] == 0 for ij in positions)
+        return all(self[ij] == 0 for ij in positions)
 
 
 def e_star(n: int, field: FieldSpec, i: int, j: int, code: int = 1) -> Functional:

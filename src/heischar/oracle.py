@@ -22,15 +22,15 @@ a tuple of (destination, source, coefficient) triples read off the
 off-diagonal entries of its action matrix, for the left, right and
 coadjoint actions on functionals and for conjugation.  ``_moves`` builds
 and compiles them once per (group, n, q, action), and one kernel applies
-them all.  On h* = n* / F_q gamma, held by the functionals with a zero
-(1,2) coordinate, each ker(sigma) move is composed once with
-lam -> lam - lam_12 gamma, so the h* moves are linear maps like any
-other.  The quotient by 1 + n^3 has no element type of its own:
-1 + n^3 is normal, so conjugation there is X -> g X g^{-1} in U_n read
-on the first two superdiagonals.  The l/s chains never multiply matrices:
-lam(XY) is a bilinear form in X and Y, kept as the sparse list of its
-nonzero entries.  Their null spaces run on linalg's one elimination
-kernel over table-code rows.  A restriction whose constraint rows are
+them all.  ker(sigma) acts on h* = n* / F_q gamma, held by the
+functionals with a zero (1,2) coordinate, so each of its functional
+moves is composed with lam -> lam - lam_12 gamma before it is compiled:
+the h* moves are linear maps like any other.  The quotient by 1 + n^3
+has no element type of its own: 1 + n^3 is normal, so conjugation there
+is X -> g X g^{-1} in U_n read on the first two superdiagonals.  The l/s
+chains never multiply matrices: lam(XY) is a bilinear form in X and Y,
+kept as the sparse list of its nonzero entries.  Their null spaces run
+on linalg's one elimination kernel over table-code rows.  A restriction whose constraint rows are
 all zero returns its basis unchanged, and ``ls_chain`` stops once s^i
 repeats, since l^{i+1} and s^{i+1} depend on s^i alone.
 
@@ -216,57 +216,38 @@ def _element_move(g: UnitriangularElement, mode: str):
     return tuple(triples)
 
 
-def _compile(move, field: FieldSpec):
-    """The move with each coefficient replaced by its row of the field's
-    multiplication table, the form _index_moves takes."""
-    mul = field.mul_table
-    return tuple((dst, src, mul[c]) for dst, src, c in move)
+def _onto_h(move, others, field: FieldSpec):
+    """A move on h* = n* / F_q gamma: the move followed by
+    lam -> lam - lam_12 gamma, which zeroes the (1,2) coordinate
+    (position 0), as one linear map on functionals with lam_12 = 0.
+    others are gamma's other positions.  No move reads position 0:
+    g^{-1} e_d, e_d g^{-1} and g^{-1} e_d g have a (1,2) entry only for
+    d = (1,2)."""
+    coeff = defaultdict(int)
+    for dst, src, c in move:
+        for a in (dst,) if dst else others:
+            coeff[a, src] = field.add_code(coeff[a, src], c if dst else field.neg_code(c))
+    return [(d, s, c) for (d, s), c in sorted(coeff.items()) if c]
 
 
 @lru_cache(maxsize=None)
 def _moves(group: str, n: int, q: int, mode: str):
     """The compiled moves of one action ("left", "right", "coadjoint",
     "conjugate") of the generators of one group, one move per generator
-    in order; "two_sided" is the left moves followed by the right ones."""
+    in order; "two_sided" is the left moves followed by the right ones.
+    The functional moves of "alternating" act on h*, held by the members
+    of n* with a zero (1,2) coordinate.  Compiling replaces each
+    coefficient by its row of the field's multiplication table, the form
+    _index_moves takes."""
     if mode == "two_sided":
         return _moves(group, n, q, "left") + _moves(group, n, q, "right")
     field = field_make(q)
-    return tuple(_compile(_element_move(g, mode), field)
-                 for g in _generators(group, n, field))
-
-
-def _onto_h(move, gamma_codes, field: FieldSpec):
-    """A compiled move on h* = n* / F_q gamma: the move followed by
-    lam -> lam - lam_12 gamma, which zeroes the (1,2) coordinate
-    (position 0), as one linear map on functionals with lam_12 = 0."""
-    coeff: dict[tuple[int, int], int] = {}
-
-    def put(dst, src, c):
-        coeff[dst, src] = field.add_code(coeff.get((dst, src), 0), c)
-
-    for dst, src, row in move:
-        if not src:
-            continue
-        c = row[1]
-        if dst:
-            put(dst, src, c)
-        else:
-            for a, g in enumerate(gamma_codes):
-                if g and a:
-                    put(a, src, field.neg_code(field.mul_code(g, c)))
-    return _compile([(d, s, c) for (d, s), c in sorted(coeff.items()) if c], field)
-
-
-@lru_cache(maxsize=None)
-def _functional_moves(group: str, n: int, q: int, mode: str):
-    """The compiled moves of one action on n* ("full") or on h*, held by
-    the members with a zero (1,2) coordinate ("alternating")."""
-    moves = _moves(group, n, q, mode)
-    if group == "full":
-        return moves
-    field = field_make(q)
-    gamma_codes = gamma(n, field).codes
-    return tuple(_onto_h(move, gamma_codes, field) for move in moves)
+    moves = (_element_move(g, mode) for g in _generators(group, n, field))
+    if group == "alternating" and mode != "conjugate":
+        others = [a for a, g in enumerate(gamma(n, field).codes) if g][1:]
+        moves = (_onto_h(move, others, field) for move in moves)
+    mul = field.mul_table
+    return tuple(tuple((dst, src, mul[c]) for dst, src, c in move) for move in moves)
 
 
 def _index_moves(moves, weight, live, field: FieldSpec):
@@ -605,11 +586,11 @@ def _two_sided_census(group: str, n: int, q: int) -> tuple[_FunctionalOrbit, ...
     full = group == "full"
     free = range(npos) if full else range(1, npos)
     weight, add = _weights(npos, free, q), field.add_table
-    left, right = (_index_moves(_functional_moves(group, n, q, mode), weight, set(free), field)
+    left, right = (_index_moves(_moves(group, n, q, mode), weight, set(free), field)
                    for mode in ("left", "right"))
     out = []
     for codes, size, contains in _sweep(npos, free, q,
-                                        _functional_moves(group, n, q, "two_sided"), field):
+                                        _moves(group, n, q, "two_sided"), field):
         i = _index(codes, weight)
         meet = (set(_closure(codes, i, left, add, defaultdict(int))[1])
                 & set(_closure(codes, i, right, add, defaultdict(int))[1]))

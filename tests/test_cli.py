@@ -659,6 +659,19 @@ def test_sequences_unknown_name(capsys):
     assert "unknown sequence 'lucas'" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "tech-lem1", "--n", ""), "cannot parse integer list ''"),
+    (("verify", "tech-lem1", "--q", ""), "cannot parse integer list ''"),
+    (("sequences", "--name", ""), "unknown sequence ''"),
+])
+def test_empty_option_values_exit_2(argv, message, capsys):
+    # an empty value is a value: it neither selects the default sweep nor
+    # the whole listing
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- exit codes
 def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "count", "--family", "weird", "--n", "3", "--q", "2")[0] == 2

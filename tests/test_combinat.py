@@ -1,6 +1,7 @@
 """Labeled set partitions, labeled lattice paths and their streams."""
 
 import itertools
+import re
 
 import pytest
 
@@ -316,9 +317,11 @@ def test_block_walker_reads_long_streams_in_blocks(monkeypatch):
     # hold at most the cap's number of tails and are shared between blocks
     monkeypatch.setattr(combinat, "_TABLE_CAP", 7)
     blocks = list(combinat.path_blocks("heis", 7, 3))
-    assert all(len(tails) == len(texts) <= 7 for _, (tails, texts) in blocks)
-    assert len({id(tails) for _, (tails, _) in blocks}) < len(blocks)
-    assert sum(len(tails) for _, (tails, _) in blocks) == combinat.path_space("heis", 7, 3).size
+    assert all(len(tails) <= 7 for _, tails in blocks)
+    assert len({id(tails) for _, tails in blocks}) < len(blocks)
+    assert sum(len(tails) for _, tails in blocks) == combinat.path_space("heis", 7, 3).size
+    texts = list(combinat.path_blocks("heis", 7, 3, text=True))
+    assert [len(tails) for _, tails in texts] == [len(tails) for _, tails in blocks]
 
 
 def test_path_texts_check_when_called():
@@ -449,11 +452,15 @@ def test_largest_field_paths_print_their_labels():
     assert list(map(path_to_text, paths)) == ["R"] + [f"U({t})" for t in range(1, 256)]
 
 
-def test_integer_valued_labels_print_as_integers():
-    """Labels equal to integers but of another type validate as before and
-    print as those integers."""
-    odd_steps = (((1, 1), (2.0,)), ((0, 1), (True,)), ((0, 1), (2.5,)))
-    assert path_to_text(LabeledLatticePath(7, odd_steps)) == "N(2) U(1) U(2.5)"
+@pytest.mark.parametrize("label", [2.5, 2.0, True])
+def test_labels_that_are_not_int_codes_are_refused(label):
+    """A label is an int code of F_q, so a float or a bool is refused even
+    where it equals one."""
+    message = f"label {label} is not a nonzero code of F_7"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LabeledLatticePath(7, (((0, 1), (label,)), ((1, 0), ())))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LabeledSetPartition(3, 7, ((1, 2, label),))
     assert path_to_text(LabeledLatticePath(7, (((1, 1), (2,)),))) == "N(2)"
 
 

@@ -1,5 +1,6 @@
 """Brute-force orbit/census oracles and their agreement with the formulas."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -505,3 +506,32 @@ def test_census_caches_are_shared_across_limits():
     with pytest.raises(SpaceTooLarge, match=r"^kernel-restricted u_4\(F_2\)\* exceeds "
                                             r"the size guard of 31 \(needs 32\)"):
         count_heisenberg_characters(4, 2, limit=31)
+
+
+# sha256 of every census's (least representative, size, flags) at points
+# past the brute-force references, recorded before the moves were last
+# rebuilt; a change of move tables must keep every representative
+CENSUS_DIGEST = "0b2cadf679dc97fcd4b0a533dfecd16358820fb48fccbb09fa4d6892c5ab9630"
+ORBIT_DIGEST = "175aca58ca21f8f0bb5a00a01e03a0b7cd201567fe145760cb13b109dc4b8ccd"
+
+
+def test_census_representatives_are_pinned():
+    digest = hashlib.sha256()
+    for group in oracle.GROUPS:
+        for n, q in ((6, 2), (5, 3), (4, 4), (3, 8), (3, 9)):
+            for o in oracle._two_sided_census(group, n, q):
+                digest.update(repr((o.rep, o.size, o.irreducible, o.kills_n3,
+                                    o.c_invariant)).encode())
+    for n, q in ((7, 2), (5, 3), (4, 4)):
+        digest.update(repr(oracle._xi_census(n, q)).encode())
+    for group in oracle.CONJUGACY_GROUPS:
+        for n, q in ((7, 2), (4, 5)):
+            census = conjugacy_classes(group, n, q)
+            digest.update(repr([(g.above.codes, size) for g, size in census.orbits]).encode())
+    assert digest.hexdigest() == CENSUS_DIGEST
+    for n, q in ((5, 2), (4, 3)):
+        lam = linalg.Functional.from_dict(n, gf.field_make(q),
+                                          {(1, 2): 1, (2, 4): q - 1, (3, n): 1})
+        for mode in oracle.ORBIT_MODES:
+            digest.update(repr(sorted(mu.codes for mu in orbit(lam, mode))).encode())
+    assert digest.hexdigest() == ORBIT_DIGEST

@@ -5,7 +5,7 @@ against conjugation by every group element, the two-sided census flags
 against orbits recomputed from scratch, l/s chains against the
 matrix-product route, the elimination kernel under them against a
 field-method elimination, tangent vectors against matrix commutators,
-and the oracle's import closure."""
+the oracle's import closure, and every module's imports against its layer."""
 
 import ast
 import itertools
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-import heischar
 from heischar import checks, gf, linalg, oracle
 from heischar.linalg import Functional, StrictUpperMatrix, UnitriangularElement
 
@@ -96,15 +95,15 @@ def apply_move(codes, move, field):
     return tuple(out)
 
 
-def check_moves_match_act(group, gens, lams, q):
+def check_moves_match_act(group, gens, lams, q, canon=tuple):
     # the compiled moves of an action, in order, are linalg.act by the
-    # group's generators
+    # group's generators, each image read through canon
     field = gf.field_make(q)
     for mode in ("left", "right", "coadjoint"):
         moves = oracle._moves(group, 4, q, mode)
         for lam in lams:
             got = [apply_move(lam.codes, m, field) for m in moves]
-            want = [linalg.act(mode, g, lam).codes for g in gens]
+            want = [canon(linalg.act(mode, g, lam).codes) for g in gens]
             assert got == want, (group, lam.codes, mode)
 
 
@@ -119,18 +118,26 @@ def test_superdiagonal_moves_match_act(q):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_alternating_moves_match_act(q):
-    # ker(sigma): its generators for t running over the F_p-basis of F_q
+    # ker(sigma), its generators for t running over the F_p-basis of F_q,
+    # acting on h*, held by the functionals with a zero (1,2) coordinate:
+    # each move is linalg.act by a generator followed by
+    # lam -> lam - lam_12 gamma
     field = gf.field_make(q)
     basis = [field.p ** j for j in range(field.k)]
-    check_moves_match_act("alternating", kernel_generators(4, field, basis),
-                          sampled_functionals(4, q, 6, seed=100 + q), q)
+    gamma = linalg.gamma(4, field).codes
+
+    def canon(mu):
+        return translate(mu, field.neg_code(mu[0]), gamma, field)
+
+    lams = [Functional.from_codes(4, field, canon(lam.codes))
+            for lam in sampled_functionals(4, q, 6, seed=100 + q)]
+    check_moves_match_act("alternating", kernel_generators(4, field, basis), lams, q, canon)
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_h_star_moves_match_act_modulo_gamma(q):
-    # on h*, held by the functionals with a zero (1,2) coordinate, each
-    # composed move is linalg.act by a ker(sigma) generator followed by
-    # lam -> lam - lam_12 gamma
+    # the two-sided moves on h* are the left ones, then the right ones,
+    # and no move on h* reads or writes the (1,2) coordinate, position 0
     field = gf.field_make(q)
     basis = [field.p ** j for j in range(field.k)]
     gens = kernel_generators(4, field, basis)
@@ -141,13 +148,16 @@ def test_h_star_moves_match_act_modulo_gamma(q):
 
     lams = [Functional.from_codes(4, field, canon(lam.codes))
             for lam in sampled_functionals(4, q, 6, seed=300 + q)]
-    for mode in ("left", "right", "two_sided"):
-        moves = oracle._functional_moves("alternating", 4, q, mode)
-        actions = ("left", "right") if mode == "two_sided" else (mode,)
-        for lam in lams:
-            got = [apply_move(lam.codes, m, field) for m in moves]
-            want = [canon(linalg.act(action, g, lam).codes) for action in actions for g in gens]
-            assert got == want, (lam.codes, mode)
+    moves = oracle._moves("alternating", 4, q, "two_sided")
+    for lam in lams:
+        got = [apply_move(lam.codes, m, field) for m in moves]
+        want = [canon(linalg.act(action, g, lam).codes) for action in ("left", "right")
+                for g in gens]
+        assert got == want, lam.codes
+    for n in (3, 4, 5):
+        for mode in ("left", "right", "coadjoint"):
+            for move in oracle._moves("alternating", n, q, mode):
+                assert all(dst and src for dst, src, _ in move), (n, mode)
 
 
 # ---------------------------------------------------- conjugacy classes
@@ -420,31 +430,64 @@ def test_tangent_matches_matrix_commutators(n, q):
 
 
 # ---------------------------------------------------------- independence
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "heischar"
+
+
+def own_imports(name, root=SOURCE):
+    """Modules of the package that ``heischar.<name>`` names in its own
+    import statements, including imports inside functions, read from its
+    source; the package ``__init__`` is not counted."""
+    out = set()
+    for node in ast.walk(ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("heischar"):
+            rest = node.module.split(".")[1:]
+            targets = rest[:1] or [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("heischar.")]
+        else:
+            continue
+        out.update(t.split(".")[0] for t in targets
+                   if (root / f"{t.split('.')[0]}.py").exists())
+    return out
+
+
 def package_imports(module):
-    """Modules of the package that ``heischar.<module>`` reaches through
-    its own import statements (including imports inside functions),
-    transitively; the package ``__init__`` is not followed."""
-    root = Path(heischar.__file__).parent
+    """The modules that ``heischar.<module>`` reaches through own_imports,
+    transitively."""
     seen, todo = set(), [module]
     while todo:
         name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                targets = [node.module] if node.module else [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("heischar"):
-                rest = node.module.split(".")[1:]
-                targets = rest[:1] or [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                targets = [a.name.split(".")[1] for a in node.names
-                           if a.name.startswith("heischar.")]
-            else:
-                continue
-            todo.extend(t.split(".")[0] for t in targets
-                        if (root / f"{t.split('.')[0]}.py").exists())
+        if name not in seen:
+            seen.add(name)
+            todo.extend(own_imports(name))
     return seen
+
+
+# the package modules each module may import: a module below another in
+# this table never imports it, and the oracle sees none of the formulas
+ALLOWED_IMPORTS = {
+    "errors": set(),
+    "gf": {"errors"},
+    "counting": {"errors"},
+    "linalg": {"errors", "gf"},
+    "oracle": {"errors", "gf", "linalg"},
+    "combinat": {"counting", "errors", "gf", "linalg"},
+    "bijections": {"combinat", "errors", "gf", "linalg"},
+    "checks": {"bijections", "combinat", "counting", "errors", "gf", "linalg", "oracle"},
+    "cli": {"bijections", "checks", "combinat", "counting", "errors", "gf", "linalg"},
+    "__main__": {"cli"},
+    "__init__": {"bijections", "checks", "combinat", "counting", "errors", "gf", "linalg",
+                 "oracle"},
+}
+
+
+def test_each_module_imports_only_its_layers():
+    assert {path.stem for path in SOURCE.glob("*.py")} == set(ALLOWED_IMPORTS)
+    for name, allowed in ALLOWED_IMPORTS.items():
+        assert own_imports(name) <= allowed, name
 
 
 def test_oracle_is_independent_of_the_formulas():
