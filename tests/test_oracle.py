@@ -509,8 +509,9 @@ def test_census_caches_are_shared_across_limits():
 
 
 # sha256 of every census's (least representative, size, flags) at points
-# past the brute-force references, recorded before the moves were last
-# rebuilt; a change of move tables must keep every representative
+# past the brute-force references, recorded before ker(sigma)'s moves were
+# composed onto h* inside _moves: a change of move tables must keep every
+# representative.  ORBIT_DIGEST continues it over the four orbit modes.
 CENSUS_DIGEST = "0b2cadf679dc97fcd4b0a533dfecd16358820fb48fccbb09fa4d6892c5ab9630"
 ORBIT_DIGEST = "175aca58ca21f8f0bb5a00a01e03a0b7cd201567fe145760cb13b109dc4b8ccd"
 
